@@ -18,14 +18,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import density, frame, greechie
-from .numerics import DEFAULT_TOL, MatrixFormatError, SymMatrix, eigh, parse_matrix_text
+from .numerics import (
+    DEFAULT_TOL,
+    MatrixFormatError,
+    SymMatrix,
+    eigh,
+    finite_float,
+    parse_matrix_text,
+)
 
 EXIT_OK = 0
 EXIT_DEMO_FAIL = 1
@@ -151,27 +158,26 @@ def _load_symmetric(path: Path) -> SymMatrix:
     return SymMatrix(parse_matrix_text(_read_text(path)))
 
 
+def _load_greechie(path: Path) -> greechie.GreechieFile:
+    return greechie.parse_greechie_text(_read_text(path))
+
+
 def _append_form_analysis(report: Report, form: SymMatrix, tol: float) -> None:
     """Spectral mixture (when quantum), signature, and classification."""
-    f = frame.FrameFunction(form)
-    sig = frame.signature(f, tol)
-    spectrum = eigh(form)
     try:
         rho = density.DensityOperator(form)
     except (density.TraceNotOne, density.NotPositiveSemidefinite) as exc:
         report.add("quantum", False)
         report.add("not_quantum_reason", str(exc))
         report.add("trace", form.trace())
-        report.add("min_eigenvalue", float(spectrum.eigenvalues[-1]))
+        report.add("min_eigenvalue", float(eigh(form).eigenvalues[-1]))
     else:
         report.add("quantum", True)
         mixture = density.spectral_mixture(rho)
         report.add("mixture_weights", [w for w, _ in mixture])
         report.add("mixture_components", [list(v.components) for _, v in mixture])
-    report.add(
-        "signature",
-        {"positive": sig.positive, "negative": sig.negative, "zero": sig.zero},
-    )
+    sig = frame.signature(frame.FrameFunction(form), tol)
+    report.add("signature", asdict(sig))
     if sig.negative == 0:
         report.add("classification", sig.positive)
     else:
@@ -196,7 +202,7 @@ def _parse_probe_table(text: str) -> tuple[np.ndarray, np.ndarray]:
         if not line:
             continue
         try:
-            numbers = [float(p) for p in line.split()]
+            numbers = [finite_float(p) for p in line.split()]
         except ValueError as exc:
             raise MatrixFormatError(f"probe line {lineno}: {exc}") from None
         if len(numbers) < 2:
@@ -247,13 +253,9 @@ def _cmd_reconstruct(args) -> tuple[Report, int]:
 
 def _cmd_signature(args) -> tuple[Report, int]:
     report = Report("signature", {"path": str(args.path)})
-    form = _load_symmetric(args.path)
-    f = frame.FrameFunction(form)
+    f = frame.FrameFunction(_load_symmetric(args.path))
     sig = frame.signature(f, args.tol)
-    report.add(
-        "signature",
-        {"positive": sig.positive, "negative": sig.negative, "zero": sig.zero},
-    )
+    report.add("signature", asdict(sig))
     report.add("weight", f.weight)
     report.add("classification", sig.positive if sig.negative == 0 else None)
     return report, EXIT_OK
@@ -267,7 +269,7 @@ def _violation_payload(violations) -> list[dict]:
 
 def _cmd_greechie(args) -> tuple[Report, int]:
     report = Report(f"greechie {args.subcommand}", {"path": str(args.path)})
-    parsed = greechie.parse_greechie_text(_read_text(args.path))
+    parsed = _load_greechie(args.path)
     diagram = parsed.diagram
     report.inputs["atoms"] = len(diagram.atoms)
     report.inputs["blocks"] = len(diagram.blocks)
@@ -345,16 +347,8 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _load_fixture_matrix(fixtures: Path, name: str) -> SymMatrix:
-    return SymMatrix(parse_matrix_text((fixtures / name).read_text(encoding="utf-8")))
-
-
-def _load_fixture_greechie(fixtures: Path, name: str) -> greechie.GreechieFile:
-    return greechie.parse_greechie_text((fixtures / name).read_text(encoding="utf-8"))
-
-
 def _case_pure_state(fixtures: Path) -> str | None:
-    rho = density.DensityOperator(_load_fixture_matrix(fixtures, "pure_state.mat"))
+    rho = density.DensityOperator(_load_symmetric(fixtures / "pure_state.mat"))
     f = frame.from_density(rho)
     if float(np.max(np.abs(f.form.entries - np.diag([1.0, 0.0, 0.0])))) > 1e-12:
         return "coefficient matrix is not diag(1,0,0)"
@@ -375,7 +369,7 @@ _BELL_FIXTURES = {
 def _case_bell_frames(fixtures: Path) -> str | None:
     rng = np.random.default_rng(7)
     for name, ((i, j), sign) in _BELL_FIXTURES.items():
-        rho = density.DensityOperator(_load_fixture_matrix(fixtures, name))
+        rho = density.DensityOperator(_load_symmetric(fixtures / name))
         f = frame.from_density(rho)
         pure = density.purity(rho)
         if not pure.is_pure:
@@ -390,7 +384,7 @@ def _case_bell_frames(fixtures: Path) -> str | None:
 
 def _case_bell_mixture(fixtures: Path) -> str | None:
     p = 0.25
-    rho = density.DensityOperator(_load_fixture_matrix(fixtures, "bell_mixture.mat"))
+    rho = density.DensityOperator(_load_symmetric(fixtures / "bell_mixture.mat"))
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = expected[0, 3] = expected[3, 0] = p / 2.0
     expected[1, 1] = expected[2, 2] = expected[1, 2] = expected[2, 1] = (1.0 - p) / 2.0
@@ -404,7 +398,7 @@ def _case_bell_mixture(fixtures: Path) -> str | None:
 
 def _case_nonorthogonal_mixture(fixtures: Path) -> str | None:
     a = b = 0.5
-    rho = density.DensityOperator(_load_fixture_matrix(fixtures, "nonorthogonal_mixture.mat"))
+    rho = density.DensityOperator(_load_symmetric(fixtures / "nonorthogonal_mixture.mat"))
     f = frame.from_density(rho)
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -424,7 +418,7 @@ def _case_reconstruct_orthogonal(fixtures: Path) -> str | None:
         evaluator=lambda x: (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0, dim=3
     )
     rho = frame.reconstruct_density(oracle)
-    expected = _load_fixture_matrix(fixtures, "sevenths.mat").entries
+    expected = _load_symmetric(fixtures / "sevenths.mat").entries
     if float(np.max(np.abs(rho.matrix.entries - expected))) > 1e-12:
         return "reconstructed matrix mismatch"
     weights = sorted(w for w, _ in density.spectral_mixture(rho))
@@ -442,7 +436,7 @@ def _case_reconstruct_nonorthogonal(fixtures: Path) -> str | None:
         dim=3,
     )
     rho = frame.reconstruct_density(oracle)
-    expected = _load_fixture_matrix(fixtures, "twelfths.mat").entries
+    expected = _load_symmetric(fixtures / "twelfths.mat").entries
     if float(np.max(np.abs(rho.matrix.entries - expected))) > 1e-12:
         return "reconstructed matrix mismatch"
     f = frame.from_density(rho)
@@ -455,7 +449,7 @@ def _case_reconstruct_nonorthogonal(fixtures: Path) -> str | None:
 
 
 def _case_pentagon_embedding(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "pentagon.greechie")
+    parsed = _load_greechie(fixtures / "pentagon.greechie")
     bad = greechie.check_realization(parsed.diagram, parsed.realization)
     if bad:
         return f"realization violations: {bad[0].detail}"
@@ -466,7 +460,7 @@ def _case_pentagon_embedding(fixtures: Path) -> str | None:
 
 
 def _case_pentagon_infeasible(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "pentagon.greechie")
+    parsed = _load_greechie(fixtures / "pentagon.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     if verdict.realizable:
         return "measure reported as quantum-realizable"
@@ -477,7 +471,7 @@ def _case_pentagon_infeasible(fixtures: Path) -> str | None:
 
 
 def _case_pentagon_two_valued(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "pentagon.greechie")
+    parsed = _load_greechie(fixtures / "pentagon.greechie")
     states = greechie.enumerate_two_valued_states(parsed.diagram)
     if len(states) != 11:
         return f"{len(states)} two-valued states instead of 11"
@@ -485,7 +479,7 @@ def _case_pentagon_two_valued(fixtures: Path) -> str | None:
 
 
 def _case_pentagon_extremal(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "pentagon.greechie")
+    parsed = _load_greechie(fixtures / "pentagon.greechie")
     if not greechie.is_polytope_vertex(parsed.diagram, parsed.assignment):
         return "measure is not an extreme point"
     if greechie.convex_decomposition(parsed.diagram, parsed.assignment) is not None:
@@ -494,7 +488,7 @@ def _case_pentagon_extremal(fixtures: Path) -> str | None:
 
 
 def _case_spin_half_classical(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "fig_two_contexts_classical.greechie")
+    parsed = _load_greechie(fixtures / "fig_two_contexts_classical.greechie")
     states = greechie.enumerate_two_valued_states(parsed.diagram)
     if len(states) != 4:
         return f"{len(states)} two-valued states instead of 4"
@@ -508,7 +502,7 @@ def _case_spin_half_classical(fixtures: Path) -> str | None:
 
 
 def _case_spin_half_ignorant(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "fig_two_contexts_ignorant.greechie")
+    parsed = _load_greechie(fixtures / "fig_two_contexts_ignorant.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     if not verdict.realizable:
         return "all-1/2 measure reported as not realizable"
@@ -523,7 +517,7 @@ def _case_spin_half_ignorant(fixtures: Path) -> str | None:
 
 
 def _case_three_contexts(fixtures: Path) -> str | None:
-    parsed = _load_fixture_greechie(fixtures, "fig_three_contexts_classical.greechie")
+    parsed = _load_greechie(fixtures / "fig_three_contexts_classical.greechie")
     states = greechie.enumerate_two_valued_states(parsed.diagram)
     if len(states) != 8:
         return f"{len(states)} two-valued states instead of 2^3"

@@ -153,16 +153,14 @@ def reconstruct_density(oracle: FrameOracle) -> DensityOperator:
                 "oracle deviates from the reconstructed quadratic form "
                 f"by {abs(observed - predicted):.3e} at a probe point"
             )
-    trace = form.trace()
-    min_eigenvalue = float(eigh(form).eigenvalues[-1])
     try:
         return DensityOperator(form)
     except (TraceNotOne, NotPositiveSemidefinite) as exc:
         raise NotQuantum(
             f"reconstructed form is not a density operator: {exc}",
             form=form,
-            trace=trace,
-            min_eigenvalue=min_eigenvalue,
+            trace=form.trace(),
+            min_eigenvalue=float(eigh(form).eigenvalues[-1]),
         ) from exc
 
 

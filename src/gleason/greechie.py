@@ -25,6 +25,7 @@ from .numerics import (
     DimensionMismatch,
     SymMatrix,
     eigh,
+    finite_float,
     lp_feasible,
     quad_coeff_row,
     rank,
@@ -168,19 +169,19 @@ def validate_state(
     """All state-condition violations; an empty list means the state is valid.
 
     Conditions: every value in [0, 1] and every block summing to 1 within
-    tolerance.
+    tolerance. A NaN value fails both conditions.
     """
     _check_coverage(diagram, assignment.values, "assignment")
     violations: list[Violation] = []
     for atom in diagram.atoms:
         value = assignment.values[atom]
-        if value < -tol or value > 1.0 + tol:
+        if not -tol <= value <= 1.0 + tol:
             violations.append(
                 Violation("range", atom, f"value {value!r} outside [0, 1]", value)
             )
     for block in diagram.blocks:
         total = math.fsum(assignment.values[a] for a in block)
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             violations.append(
                 Violation(
                     "block-sum",
@@ -286,21 +287,10 @@ def is_polytope_vertex(
     q(atom) = 0 bounds) have full rank over the atoms.
     """
     _require_valid_state(diagram, assignment)
-    index = {a: i for i, a in enumerate(diagram.atoms)}
-    n = len(diagram.atoms)
-    rows = []
-    for block in diagram.blocks:
-        row = np.zeros(n)
-        for a in block:
-            row[index[a]] = 1.0
-        rows.append(row)
-    for a in diagram.atoms:
-        if assignment.values[a] <= tol:
-            row = np.zeros(n)
-            row[index[a]] = 1.0
-            rows.append(row)
-    active = np.array(rows)
-    return rank(SymMatrix(active.T @ active), tol) == n
+    atoms = diagram.atoms
+    blocks = [[float(a in block) for a in atoms] for block in diagram.blocks]
+    tight = np.eye(len(atoms))[[assignment.values[a] <= tol for a in atoms]]
+    return rank(np.vstack([blocks, tight]), tol) == len(atoms)
 
 
 def check_realization(
@@ -564,9 +554,9 @@ def parse_greechie_text(text: str) -> GreechieFile:
 
     Directives: ``atom <id>``, ``block <id> <id> ...``, ``prob <id>
     <decimal>``, ``vec <id> <v1> ... <vn>``; ``#`` starts a comment.
-    Rejects unknown atoms in block/prob/vec lines, duplicate prob or vec
-    entries for one atom, blocks of fewer than 2 atoms, and inconsistent
-    vector dimensions.
+    Rejects non-finite numbers, unknown atoms in block/prob/vec lines,
+    duplicate prob or vec entries for one atom, blocks of fewer than 2
+    atoms, and inconsistent vector dimensions.
     """
     atoms: list[str] = []
     blocks: list[tuple[str, ...]] = []
@@ -605,7 +595,7 @@ def parse_greechie_text(text: str) -> GreechieFile:
             if args[0] in probs:
                 raise GreechieFormatError(f"line {lineno}: duplicate prob for {args[0]!r}")
             try:
-                probs[args[0]] = float(args[1])
+                probs[args[0]] = finite_float(args[1])
             except ValueError:
                 raise GreechieFormatError(
                     f"line {lineno}: bad probability {args[1]!r}"
@@ -618,7 +608,7 @@ def parse_greechie_text(text: str) -> GreechieFile:
             if args[0] in vectors:
                 raise GreechieFormatError(f"line {lineno}: duplicate vec for {args[0]!r}")
             try:
-                components = [float(c) for c in args[1:]]
+                components = [finite_float(c) for c in args[1:]]
             except ValueError as exc:
                 raise GreechieFormatError(f"line {lineno}: {exc}") from None
             if vec_dim == 0:

@@ -1,10 +1,10 @@
 """Dense real symmetric linear algebra and feasibility kernels.
 
 Everything here is float64 and sized for desk-scale problems (dimensions up
-to a few dozen): a cyclic Jacobi eigensolver, rank and least-squares helpers,
-a phase-one simplex feasibility test, and Gram-Schmidt orthonormalization.
-The shared ``dim n`` matrix text format used by the command line lives here
-as well.
+to a few dozen). Eigendecomposition, rank, least squares and
+orthonormalization delegate to LAPACK through numpy; a phase-one simplex
+decides LP feasibility. The shared ``dim n`` matrix text format used by the
+command line lives here as well.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 _ASYMMETRY_LIMIT = 1e-12
-_JACOBI_SWEEP_LIMIT = 50
-_JACOBI_OFF_TARGET = 1e-14
 
 
 class DimensionMismatch(ValueError):
@@ -40,7 +38,8 @@ class SymMatrix:
 
     Construction symmetrizes through (a + a^T)/2 but rejects inputs whose
     asymmetry exceeds 1e-12, so caller bugs surface instead of being
-    averaged away.
+    averaged away. Non-finite entries are rejected too: LAPACK turns them
+    into NaN eigenvalues, which pass every ``<`` test.
     """
 
     entries: np.ndarray
@@ -51,6 +50,8 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatch("matrix must have dimension >= 1")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix has non-finite entries")
         asym = float(np.max(np.abs(a - a.T)))
         if asym > _ASYMMETRY_LIMIT:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
@@ -91,62 +92,27 @@ class EigenDecomposition:
 
 
 def eigh(a: SymMatrix) -> EigenDecomposition:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+    """Diagonalize a symmetric matrix with LAPACK's symmetric eigensolver.
 
-    Sweeps until the off-diagonal Frobenius norm falls below 1e-14 relative
-    to the matrix scale, or 50 sweeps. Jacobi converges quadratically at
-    these sizes and keeps high relative accuracy for symmetric input.
+    ``np.linalg.eigh`` returns ascending eigenvalues; they are reversed
+    here, together with their eigenvector columns, into descending order.
     """
-    m = np.array(a.entries, dtype=float)
-    n = a.dim
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    # Entries this small cannot push the off-norm above the sweep target,
-    # so rotating on them only stirs roundoff.
-    skip_floor = 1e-17 * scale
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        off = float(np.linalg.norm(m - np.diag(np.diag(m))))
-        if off <= _JACOBI_OFF_TARGET * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(m[p, q])
-                if abs(apq) <= skip_floor:
-                    continue
-                diff = float(m[q, q] - m[p, p])
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p, row_q = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = m[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(m).copy()
-    order = np.argsort(-w, kind="stable")
-    eigenvalues = w[order]
-    eigenvectors = v[:, order]
+    w, v = np.linalg.eigh(a.entries)
+    eigenvalues, eigenvectors = w[::-1], v[:, ::-1]
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return EigenDecomposition(eigenvalues, eigenvectors)
 
 
-def rank(a: SymMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues with |w| strictly above ``tol``."""
+def rank(a, tol: float = DEFAULT_TOL) -> int:
+    """Number of singular values strictly above ``tol``.
+
+    ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    return int(np.sum(np.abs(eigh(a).eigenvalues) > tol))
+    m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
+    return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,27 +203,29 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Gram-Schmidt orthonormal basis (rows) for the span of the input.
+    """Orthonormal basis (rows) for the span of the input, by QR.
 
-    Raises LinearlyDependent when the inputs fail a Gram-matrix rank check.
-    Two passes keep off-diagonal dot products below 1e-10 even for badly
-    scaled input.
+    Row i of the result is the unit vector Gram-Schmidt would produce from
+    the first i + 1 inputs: each sign is chosen so that diag(R) > 0. Raises
+    LinearlyDependent when a squared singular value of the input is at most
+    ``tol * max(1, max |v v^T|)``.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     k, n = v.shape
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")
-    gram = SymMatrix(v @ v.T)
-    scale = max(1.0, float(np.max(np.abs(gram.entries))))
-    if rank(gram, tol * scale) < k:
+    scale = max(1.0, float(np.max(np.abs(v @ v.T))))
+    if rank(v, math.sqrt(tol * scale)) < k:
         raise LinearlyDependent("input vectors are linearly dependent")
-    q = v.copy()
-    for _ in range(2):
-        for i in range(k):
-            for j in range(i):
-                q[i] -= (q[i] @ q[j]) * q[j]
-            q[i] /= np.linalg.norm(q[i])
-    return q
+    q, r = np.linalg.qr(v.T)
+    return (q * np.sign(np.diag(r))).T
+
+
+def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each packed entry: the diagonal, then i < j lexicographically."""
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([diag, rows]), np.concatenate([diag, cols])
 
 
 def quad_coeff_row(x) -> np.ndarray:
@@ -268,11 +236,10 @@ def quad_coeff_row(x) -> np.ndarray:
     row @ packed(A) == x^T A x for symmetric A.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.shape[0]
-    parts = [x * x]
-    for i in range(n - 1):
-        parts.append(2.0 * x[i] * x[i + 1 :])
-    return np.concatenate(parts)
+    i, j = _packed_index(x.shape[0])
+    row = x[i] * x[j]
+    row[x.shape[0] :] *= 2.0
+    return row
 
 
 def sym_from_packed(values, n: int) -> np.ndarray:
@@ -282,21 +249,26 @@ def sym_from_packed(values, n: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {n * (n + 1) // 2} packed entries, got {values.shape[0]}"
         )
-    a = np.diag(values[:n]).astype(float)
-    pos = n
-    for i in range(n - 1):
-        count = n - 1 - i
-        a[i, i + 1 :] = values[pos : pos + count]
-        a[i + 1 :, i] = values[pos : pos + count]
-        pos += count
+    i, j = _packed_index(n)
+    a = np.zeros((n, n))
+    a[i, j] = a[j, i] = values
     return a
+
+
+def finite_float(token: str) -> float:
+    """``float(token)``, raising ValueError for nan and infinities too."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the shared matrix format: ``dim n`` then n rows of n decimals.
 
     Blank lines and ``#`` comments are skipped; scientific notation is
-    accepted. Decimal points only, independent of locale.
+    accepted, nan and infinities are not. Decimal points only, independent
+    of locale.
     """
     lines = []
     for raw in text.splitlines():
@@ -324,7 +296,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
                 f"row {lineno}: expected {n} entries, found {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            rows.append([finite_float(p) for p in parts])
         except ValueError as exc:
             raise MatrixFormatError(f"row {lineno}: {exc}") from None
     return np.array(rows)

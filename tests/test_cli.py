@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gleason
 from gleason.cli import (
     EXIT_BAD_PROBES,
     EXIT_DEMO_FAIL,
@@ -282,6 +285,42 @@ class TestGreechieCommands:
         assert code == EXIT_VALIDATION
 
 
+class TestNonFiniteInput:
+    """nan and infinities are format errors (exit 2), never silent verdicts."""
+
+    @pytest.mark.parametrize("command", ["density-to-frame", "reconstruct", "signature"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_matrix_file(self, capsys, tmp_path, command, token):
+        f = tmp_path / "bad.mat"
+        f.write_text(f"dim 2\n{token} 0\n0 {token}\n")
+        code, out, err = run(capsys, command, str(f))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_probe_table(self, capsys, tmp_path, token):
+        f = tmp_path / "probes.txt"
+        f.write_text(f"1 0 1\n0 1 {token}\n")
+        code, out, err = run(capsys, "reconstruct", str(f))
+        assert code == EXIT_PARSE
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("subcommand", ["check", "two-valued", "decompose", "feasibility"])
+    @pytest.mark.parametrize(
+        "lines",
+        ["vec a 1 0\nvec b 0 1\nprob a nan\nprob b nan\n", "vec a inf 0\nvec b 0 1\nprob a 1\nprob b 0\n"],
+        ids=["prob", "vec"],
+    )
+    def test_greechie_file(self, capsys, tmp_path, subcommand, lines):
+        f = tmp_path / "bad.greechie"
+        f.write_text("atom a\natom b\nblock a b\n" + lines)
+        code, out, err = run(capsys, "greechie", subcommand, str(f))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err != ""
+
+
 class TestDemo:
     def test_all_cases_pass(self, capsys):
         code, out, err = run(capsys, "demo-paper")
@@ -314,10 +353,15 @@ class TestDemo:
 
 class TestHarness:
     def test_module_entry_point(self):
+        # The child must import the same gleason as this process, however
+        # that one was found (installed, PYTHONPATH or pytest's pythonpath).
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gleason.cli", "demo-paper", "--list"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "pentagon-embedding" in proc.stdout

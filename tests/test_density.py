@@ -237,6 +237,25 @@ class TestSpectralMixture:
         assert abs(weights[0] - (0.5 + root)) <= 1e-12
         assert abs(weights[1] - (0.5 - root)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "spectrum", [(0.5, 0.5), (1 / 3,) * 3, (0.4, 0.3, 0.3), (0.25,) * 4, (0.5, 0.25, 0.25, 0.0)]
+    )
+    def test_degenerate_spectra(self, spectrum):
+        # Any orthonormal eigenbasis of a repeated weight is legitimate, so
+        # check the order, orthonormality and the rebuilt matrix, not vectors.
+        rng = np.random.default_rng(len(spectrum))
+        for _ in range(10):
+            q = random_orthonormal(rng, len(spectrum))
+            a = q.T @ np.diag(spectrum) @ q
+            rho = DensityOperator(SymMatrix((a + a.T) / 2.0))
+            mixture = spectral_mixture(rho)
+            weights = [w for w, _ in mixture]
+            assert weights == sorted(weights, reverse=True)
+            vectors = np.array([v.components for _, v in mixture])
+            assert np.max(np.abs(vectors @ vectors.T - np.eye(len(mixture)))) <= 1e-12
+            rebuilt = sum(w * np.outer(v.components, v.components) for w, v in mixture)
+            assert np.max(np.abs(rebuilt - rho.matrix.entries)) <= 1e-12
+
     def test_round_trip_through_mix(self):
         rng = np.random.default_rng(23)
         for n in (2, 3, 4, 6):

@@ -80,6 +80,12 @@ class TestValidateState:
         kinds = {v.kind for v in validate_state(diagram, bad)}
         assert kinds == {"range"}
 
+    def test_nan_fails_range_and_block_sum(self):
+        diagram, _ = builtin_spin_half_family(1, [0.0])
+        nan = ProbabilityAssignment({"x1-": math.nan, "x1+": math.nan})
+        kinds = [v.kind for v in validate_state(diagram, nan)]
+        assert kinds == ["range", "range", "block-sum"]
+
     def test_missing_atom_raises(self):
         diagram, _ = builtin_spin_half_family(1, [0.0])
         with pytest.raises(UnknownAtom):
@@ -193,6 +199,20 @@ class TestPolytopeVertex:
         spin, _ = builtin_spin_half_family(2, [0.0, 0.7])
         for state in enumerate_two_valued_states(spin):
             assert is_polytope_vertex(spin, state.as_assignment())
+
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_ngon_half_measure(self, n):
+        # Blocks {a_i, b_i, a_(i+1)} with 1/2 on every a and 0 on every b:
+        # the tight b-bounds and block sums pin the measure down exactly
+        # when n is odd (the pentagon's case); for even n it is the midpoint
+        # of the two alternating two-valued states.
+        atoms = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n))
+        blocks = tuple((f"a{i}", f"b{i}", f"a{(i + 1) % n}") for i in range(n))
+        diagram = GreechieDiagram(atoms, blocks)
+        measure = ProbabilityAssignment({a: 0.5 if a[0] == "a" else 0.0 for a in atoms})
+        odd = n % 2 == 1
+        assert is_polytope_vertex(diagram, measure) == odd
+        assert (convex_decomposition(diagram, measure) is None) == odd
 
     def test_triangle_unique_state_is_a_vertex(self):
         # The three block equalities alone have full rank here, so the
@@ -377,6 +397,9 @@ class TestParser:
             ("atom a\natom b\nblock a b\nvec a 1 0\nvec b 1 0 0\n", "components"),
             ("atom a\natom b\nblock a b\nprob a x\n", "bad probability"),
             ("atom a\natom b\nblock a b\nwhat a\n", "unknown directive"),
+            ("atom a\natom b\nblock a b\nprob a nan\n", "bad probability"),
+            ("atom a\natom b\nblock a b\nprob a -inf\n", "bad probability"),
+            ("atom a\natom b\nblock a b\nvec a inf 0\n", "non-finite"),
         ],
     )
     def test_rejects_malformed(self, text, message):

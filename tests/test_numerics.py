@@ -18,7 +18,12 @@ from gleason.numerics import (
     solve_least_squares,
     sym_from_packed,
 )
-from support import brute_force_lp_feasible, pentagon_b_vectors, random_symmetric
+from support import (
+    brute_force_lp_feasible,
+    pentagon_b_vectors,
+    random_orthonormal,
+    random_symmetric,
+)
 
 SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
 
@@ -36,6 +41,11 @@ class TestSymMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_entries_are_immutable(self):
         m = SymMatrix.identity(2)
@@ -79,6 +89,23 @@ class TestEigh:
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
             assert np.all(np.diff(dec.eigenvalues) <= 1e-15)
 
+    @pytest.mark.parametrize(
+        "spectrum",
+        [(1.0, 1.0, 1.0), (0.5, 0.5, 0.0), (0.4, 0.3, 0.3), (0.25,) * 4, (0.5, 0.25, 0.25, 0.0)],
+    )
+    def test_degenerate_spectra(self, spectrum):
+        rng = np.random.default_rng(len(spectrum))
+        n = len(spectrum)
+        for _ in range(10):
+            q = random_orthonormal(rng, n)
+            a = q.T @ np.diag(spectrum) @ q
+            dec = eigh(SymMatrix((a + a.T) / 2.0))
+            assert np.all(np.diff(dec.eigenvalues) <= 0.0)
+            assert np.max(np.abs(dec.eigenvalues - sorted(spectrum, reverse=True))) <= 1e-12
+            v = dec.eigenvectors
+            assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+            assert np.max(np.abs(v @ np.diag(dec.eigenvalues) @ v.T - a)) <= 1e-12
+
     def test_eigenvalue_sum_and_product(self):
         rng = np.random.default_rng(42)
         for n in (2, 3, 4):
@@ -106,6 +133,13 @@ class TestRank:
     def test_pentagon_b_gram_has_full_spatial_rank(self):
         b = pentagon_b_vectors()
         assert rank(SymMatrix(b @ b.T), 1e-9) == 3
+
+    def test_rectangular_array_is_not_squared(self):
+        # Singular values 1 and 1e-6 both clear 1e-9; the Gram matrix's
+        # eigenvalue 1e-12 would not.
+        active = np.array([[1.0, 0.0], [0.0, 1e-6], [0.0, 0.0]])
+        assert rank(active, 1e-9) == 2
+        assert rank(active, 1e-3) == 1
 
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
@@ -228,6 +262,27 @@ class TestOrthonormalize:
             total = sum(float(e @ a.entries @ e) for e in q)
             assert abs(total - a.trace()) <= 1e-9
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3, 3), (2, 5), (4, 6)])
+    def test_gram_schmidt_orientation(self, shape):
+        # Row i lies in the span of inputs 0..i and has a positive overlap
+        # with input i: q @ v.T is upper-triangular with a positive diagonal.
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(10):
+            v = rng.standard_normal(shape)
+            q = orthonormalize(v)
+            overlap = q @ v.T
+            assert np.max(np.abs(np.tril(overlap, -1))) <= 1e-12
+            assert np.all(np.diag(overlap) > 0.0)
+            assert np.max(np.abs(q @ q.T - np.eye(shape[0]))) <= 1e-12
+
+    def test_dependency_threshold(self):
+        # Squared singular values 5e-9 and 4.5e-10 sit on either side of
+        # tol * max(1, max |v v^T|) = 1e-9.
+        q = orthonormalize([(1.0, 0.0), (1.0, 1e-4)])
+        assert np.max(np.abs(q - np.eye(2))) <= 1e-12
+        with pytest.raises(LinearlyDependent):
+            orthonormalize([(1.0, 0.0), (1.0, 3e-5)])
+
     def test_rejects_dependent_input(self):
         with pytest.raises(LinearlyDependent):
             orthonormalize([(1.0, 0.0), (2.0, 0.0)])
@@ -284,6 +339,10 @@ class TestMatrixText:
             "dim 2\n1 0\n",
             "dim 2\n1 0 0\n0 1 0\n",
             "dim 2\n1 x\n0 1\n",
+            "dim 2\nnan 0\n0 1\n",
+            "dim 2\n1 0\n0 inf\n",
+            "dim 1\n-Infinity\n",
+            "dim 1\n1e400\n",
         ],
     )
     def test_rejects_malformed(self, text):
