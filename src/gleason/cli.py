@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .numerics import (
     DEFAULT_TOL,
     MatrixFormatError,
     SymMatrix,
+    content_lines,
     eigh,
     finite_float,
     parse_matrix_text,
@@ -162,6 +163,15 @@ def _load_greechie(path: Path) -> greechie.GreechieFile:
     return greechie.parse_greechie_text(_read_text(path))
 
 
+def _append_signature(report: Report, form: SymMatrix, tol: float) -> None:
+    """Signature and canonical type; a form with negative squares has none."""
+    sig = frame.signature(frame.FrameFunction(form), tol)
+    report.add("signature", asdict(sig))
+    report.add("classification", sig.positive if sig.negative == 0 else None)
+    if sig.negative:
+        report.add("classification_note", "negative squares present; no positive canonical type")
+
+
 def _append_form_analysis(report: Report, form: SymMatrix, tol: float) -> None:
     """Spectral mixture (when quantum), signature, and classification."""
     try:
@@ -176,13 +186,7 @@ def _append_form_analysis(report: Report, form: SymMatrix, tol: float) -> None:
         mixture = density.spectral_mixture(rho)
         report.add("mixture_weights", [w for w, _ in mixture])
         report.add("mixture_components", [list(v.components) for _, v in mixture])
-    sig = frame.signature(frame.FrameFunction(form), tol)
-    report.add("signature", asdict(sig))
-    if sig.negative == 0:
-        report.add("classification", sig.positive)
-    else:
-        report.add("classification", None)
-        report.add("classification_note", "negative squares present; no positive canonical type")
+    _append_signature(report, form, tol)
 
 
 def _cmd_density_to_frame(args) -> tuple[Report, int]:
@@ -197,12 +201,9 @@ def _cmd_density_to_frame(args) -> tuple[Report, int]:
 
 def _parse_probe_table(text: str) -> tuple[np.ndarray, np.ndarray]:
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, tokens in content_lines(text):
         try:
-            numbers = [finite_float(p) for p in line.split()]
+            numbers = [finite_float(p) for p in tokens]
         except ValueError as exc:
             raise MatrixFormatError(f"probe line {lineno}: {exc}") from None
         if len(numbers) < 2:
@@ -222,12 +223,9 @@ def _parse_probe_table(text: str) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_reconstruct(args) -> tuple[Report, int]:
     report = Report("reconstruct", {"path": str(args.path)})
     text = _read_text(args.path)
-    first = next(
-        (ln.split("#", 1)[0].strip() for ln in text.splitlines() if ln.split("#", 1)[0].strip()),
-        "",
-    )
+    first = next((tokens[0] for _, tokens in content_lines(text)), "")
     if first.startswith("dim"):
-        form_in = _load_symmetric(args.path)
+        form_in = SymMatrix(parse_matrix_text(text))
         report.inputs["mode"] = "form-matrix"
         oracle = frame.FrameOracle.from_frame_function(frame.FrameFunction(form_in))
         try:
@@ -253,11 +251,9 @@ def _cmd_reconstruct(args) -> tuple[Report, int]:
 
 def _cmd_signature(args) -> tuple[Report, int]:
     report = Report("signature", {"path": str(args.path)})
-    f = frame.FrameFunction(_load_symmetric(args.path))
-    sig = frame.signature(f, args.tol)
-    report.add("signature", asdict(sig))
-    report.add("weight", f.weight)
-    report.add("classification", sig.positive if sig.negative == 0 else None)
+    form = _load_symmetric(args.path)
+    _append_signature(report, form, args.tol)
+    report.add("weight", form.trace())
     return report, EXIT_OK
 
 
@@ -335,99 +331,94 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
 
 # --------------------------------------------------------------------------
-# demo-paper: run every bundled golden case end to end.
+# demo-paper: run every bundled golden case end to end. A case yields
+# (what, got, expected, tol) checks; _first_failure compares them in order.
 
 
 def _default_fixtures() -> Path:
     return Path(str(resources.files(__package__).joinpath("fixtures")))
 
 
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    x = rng.standard_normal(n)
-    return x / np.linalg.norm(x)
+def _show(value) -> str:
+    text = np.array2string(np.asarray(value), threshold=6, floatmode="unique", separator=", ")
+    return " ".join(text.split())
 
 
-def _case_pure_state(fixtures: Path) -> str | None:
-    rho = density.DensityOperator(_load_symmetric(fixtures / "pure_state.mat"))
-    f = frame.from_density(rho)
-    if float(np.max(np.abs(f.form.entries - np.diag([1.0, 0.0, 0.0])))) > 1e-12:
-        return "coefficient matrix is not diag(1,0,0)"
-    rendered = _polynomial(f.form.entries)
-    if rendered != "x1^2":
-        return f"frame function rendered as {rendered!r}"
+def _first_failure(checks) -> str | None:
+    """Detail of the first check that misses its expected value, else None.
+
+    Strings compare exactly; anything else entrywise within ``tol`` once the
+    shapes match, so ``tol = 0`` is exact for counts and booleans.
+    """
+    for what, got, expected, tol in checks:
+        if isinstance(expected, str):
+            ok = got == expected
+        else:
+            g, e = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+            ok = g.shape == e.shape and bool(np.all(np.abs(g - e) <= tol))
+        if not ok:
+            return f"{what}: got {_show(got)}, expected {_show(expected)}"
     return None
 
 
-_BELL_FIXTURES = {
-    "bell_psi_plus.mat": ((0, 3), +1.0),
-    "bell_psi_minus.mat": ((0, 3), -1.0),
-    "bell_phi_plus.mat": ((1, 2), +1.0),
-    "bell_phi_minus.mat": ((1, 2), -1.0),
-}
+def _unit_probes(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    return np.array([x / np.linalg.norm(x) for x in rng.standard_normal((count, n))])
 
 
-def _case_bell_frames(fixtures: Path) -> str | None:
+def _case_pure_state(fixtures: Path):
+    f = frame.from_density(density.DensityOperator(_load_symmetric(fixtures / "pure_state.mat")))
+    yield "coefficient matrix", f.form.entries, np.diag([1.0, 0.0, 0.0]), 1e-12
+    yield "frame function", _polynomial(f.form.entries), "x1^2", 0
+
+
+def _case_bell_frames(fixtures: Path):
     rng = np.random.default_rng(7)
-    for name, ((i, j), sign) in _BELL_FIXTURES.items():
+    for name, i, j, sign in (
+        ("bell_psi_plus.mat", 0, 3, +1.0),
+        ("bell_psi_minus.mat", 0, 3, -1.0),
+        ("bell_phi_plus.mat", 1, 2, +1.0),
+        ("bell_phi_minus.mat", 1, 2, -1.0),
+    ):
         rho = density.DensityOperator(_load_symmetric(fixtures / name))
+        yield f"{name} is pure", density.purity(rho).is_pure, True, 0
         f = frame.from_density(rho)
-        pure = density.purity(rho)
-        if not pure.is_pure:
-            return f"{name}: not recognized as a pure state"
-        for _ in range(200):
-            x = _random_unit(rng, 4)
-            want = 0.5 * (x[i] + sign * x[j]) ** 2
-            if abs(frame.evaluate(f, x) - want) > 1e-12:
-                return f"{name}: frame function deviates from the closed form"
-    return None
+        x = _unit_probes(rng, 200, 4)
+        closed_form = 0.5 * (x[:, i] + sign * x[:, j]) ** 2
+        yield f"{name} frame function", [frame.evaluate(f, p) for p in x], closed_form, 1e-12
 
 
-def _case_bell_mixture(fixtures: Path) -> str | None:
-    p = 0.25
+def _case_bell_mixture(fixtures: Path):
+    p, q = 0.25, 0.75
     rho = density.DensityOperator(_load_symmetric(fixtures / "bell_mixture.mat"))
-    expected = np.zeros((4, 4))
-    expected[0, 0] = expected[3, 3] = expected[0, 3] = expected[3, 0] = p / 2.0
-    expected[1, 1] = expected[2, 2] = expected[1, 2] = expected[2, 1] = (1.0 - p) / 2.0
-    if float(np.max(np.abs(rho.matrix.entries - expected))) > 1e-12:
-        return "mixture matrix does not match the block form"
-    weights = [w for w, _ in density.spectral_mixture(rho)]
-    if len(weights) != 2 or abs(weights[0] - (1.0 - p)) > 1e-10 or abs(weights[1] - p) > 1e-10:
-        return f"spectral weights {weights} instead of {[1.0 - p, p]}"
-    return None
+    block_form = np.array([[p, 0, 0, p], [0, q, q, 0], [0, q, q, 0], [p, 0, 0, p]]) / 2.0
+    yield "mixture matrix", rho.matrix.entries, block_form, 1e-12
+    yield "spectral weights", [w for w, _ in density.spectral_mixture(rho)], [q, p], 1e-10
 
 
-def _case_nonorthogonal_mixture(fixtures: Path) -> str | None:
+def _case_nonorthogonal_mixture(fixtures: Path):
     a = b = 0.5
     rho = density.DensityOperator(_load_symmetric(fixtures / "nonorthogonal_mixture.mat"))
     f = frame.from_density(rho)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x = _random_unit(rng, 3)
-        want = a * x[0] ** 2 + (b / 2.0) * (x[0] + x[1]) ** 2
-        if abs(frame.evaluate(f, x) - want) > 1e-12:
-            return "frame function deviates from a*x1^2 + (b/2)(x1+x2)^2"
+    x = _unit_probes(np.random.default_rng(11), 200, 3)
+    closed_form = a * x[:, 0] ** 2 + (b / 2.0) * (x[:, 0] + x[:, 1]) ** 2
+    yield "frame function", [frame.evaluate(f, p) for p in x], closed_form, 1e-12
     root = math.sqrt(0.25 - a * b / 2.0)
     weights = [w for w, _ in density.spectral_mixture(rho)]
-    if len(weights) != 2 or abs(weights[0] - (0.5 + root)) > 1e-10 or abs(weights[1] - (0.5 - root)) > 1e-10:
-        return f"spectral weights {weights} instead of 1/2 +/- sqrt(1/4 - ab/2)"
-    return None
+    yield "spectral weights", weights, [0.5 + root, 0.5 - root], 1e-10
 
 
-def _case_reconstruct_orthogonal(fixtures: Path) -> str | None:
+def _case_reconstruct_orthogonal(fixtures: Path):
     oracle = frame.FrameOracle(
         evaluator=lambda x: (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0, dim=3
     )
     rho = frame.reconstruct_density(oracle)
     expected = _load_symmetric(fixtures / "sevenths.mat").entries
-    if float(np.max(np.abs(rho.matrix.entries - expected))) > 1e-12:
-        return "reconstructed matrix mismatch"
+    yield "reconstructed matrix", rho.matrix.entries, expected, 1e-12
     weights = sorted(w for w, _ in density.spectral_mixture(rho))
-    if abs(weights[0] - 3.0 / 7.0) > 1e-12 or abs(weights[1] - 4.0 / 7.0) > 1e-12:
-        return f"statistical weights {weights} instead of [3/7, 4/7]"
-    return None
+    yield "statistical weights", weights, [3.0 / 7.0, 4.0 / 7.0], 1e-12
 
 
-def _case_reconstruct_nonorthogonal(fixtures: Path) -> str | None:
+def _case_reconstruct_nonorthogonal(fixtures: Path):
     oracle = frame.FrameOracle(
         evaluator=lambda x: (
             4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
@@ -437,94 +428,64 @@ def _case_reconstruct_nonorthogonal(fixtures: Path) -> str | None:
     )
     rho = frame.reconstruct_density(oracle)
     expected = _load_symmetric(fixtures / "twelfths.mat").entries
-    if float(np.max(np.abs(rho.matrix.entries - expected))) > 1e-12:
-        return "reconstructed matrix mismatch"
+    yield "reconstructed matrix", rho.matrix.entries, expected, 1e-12
     f = frame.from_density(rho)
-    sig = frame.signature(f)
-    if (sig.positive, sig.negative, sig.zero) != (3, 0, 0):
-        return f"signature {sig} instead of (3, 0, 0)"
-    if frame.classify(f) != 3:
-        return "classification is not 3"
-    return None
+    yield "signature", astuple(frame.signature(f)), (3, 0, 0), 0
+    yield "classification", frame.classify(f), 3, 0
 
 
-def _case_pentagon_embedding(fixtures: Path) -> str | None:
+def _case_pentagon_embedding(fixtures: Path):
     parsed = _load_greechie(fixtures / "pentagon.greechie")
     bad = greechie.check_realization(parsed.diagram, parsed.realization)
-    if bad:
-        return f"realization violations: {bad[0].detail}"
+    yield "realization violations", "; ".join(v.detail for v in bad), "", 0
     bad = greechie.validate_state(parsed.diagram, parsed.assignment)
-    if bad:
-        return f"state violations: {bad[0].detail}"
-    return None
+    yield "state violations", "; ".join(v.detail for v in bad), "", 0
 
 
-def _case_pentagon_infeasible(fixtures: Path) -> str | None:
+def _case_pentagon_infeasible(fixtures: Path):
     parsed = _load_greechie(fixtures / "pentagon.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
-    if verdict.realizable:
-        return "measure reported as quantum-realizable"
+    yield "quantum-realizable", verdict.realizable, False, 0
     cert = verdict.certificate
-    if cert.kind != "kernel-rank" or cert.kernel_rank != 3:
-        return f"certificate {cert.kind}/{cert.kernel_rank} instead of kernel-rank/3"
-    return None
+    yield "certificate", f"{cert.kind}/{cert.kernel_rank}", "kernel-rank/3", 0
 
 
-def _case_pentagon_two_valued(fixtures: Path) -> str | None:
+def _case_pentagon_two_valued(fixtures: Path):
     parsed = _load_greechie(fixtures / "pentagon.greechie")
-    states = greechie.enumerate_two_valued_states(parsed.diagram)
-    if len(states) != 11:
-        return f"{len(states)} two-valued states instead of 11"
-    return None
+    yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 11, 0
 
 
-def _case_pentagon_extremal(fixtures: Path) -> str | None:
+def _case_pentagon_extremal(fixtures: Path):
     parsed = _load_greechie(fixtures / "pentagon.greechie")
-    if not greechie.is_polytope_vertex(parsed.diagram, parsed.assignment):
-        return "measure is not an extreme point"
-    if greechie.convex_decomposition(parsed.diagram, parsed.assignment) is not None:
-        return "measure decomposed over two-valued states"
-    return None
+    yield "extreme point", greechie.is_polytope_vertex(parsed.diagram, parsed.assignment), True, 0
+    decomposition = greechie.convex_decomposition(parsed.diagram, parsed.assignment)
+    yield "decomposable", decomposition is not None, False, 0
 
 
-def _case_spin_half_classical(fixtures: Path) -> str | None:
+def _case_spin_half_classical(fixtures: Path):
     parsed = _load_greechie(fixtures / "fig_two_contexts_classical.greechie")
-    states = greechie.enumerate_two_valued_states(parsed.diagram)
-    if len(states) != 4:
-        return f"{len(states)} two-valued states instead of 4"
+    yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 4, 0
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
-    if verdict.realizable:
-        return "classical 0/1 measure reported as quantum-realizable"
-    result = greechie.convex_decomposition(parsed.diagram, parsed.assignment)
-    if result is None:
-        return "two-valued measure failed to decompose over two-valued states"
-    return None
+    yield "quantum-realizable", verdict.realizable, False, 0
+    decomposition = greechie.convex_decomposition(parsed.diagram, parsed.assignment)
+    yield "decomposable", decomposition is not None, True, 0
 
 
-def _case_spin_half_ignorant(fixtures: Path) -> str | None:
+def _case_spin_half_ignorant(fixtures: Path):
     parsed = _load_greechie(fixtures / "fig_two_contexts_ignorant.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
-    if not verdict.realizable:
-        return "all-1/2 measure reported as not realizable"
-    got = verdict.density.matrix.entries
-    if float(np.max(np.abs(got - np.diag([0.5, 0.5])))) > 1e-10:
-        return "realizing state is not diag(1/2, 1/2)"
-    if greechie.is_polytope_vertex(parsed.diagram, parsed.assignment):
-        return "all-1/2 measure reported as extreme"
-    if greechie.convex_decomposition(parsed.diagram, parsed.assignment) is None:
-        return "all-1/2 measure failed to decompose"
-    return None
+    yield "quantum-realizable", verdict.realizable, True, 0
+    yield "realizing state", verdict.density.matrix.entries, np.diag([0.5, 0.5]), 1e-10
+    yield "extreme point", greechie.is_polytope_vertex(parsed.diagram, parsed.assignment), False, 0
+    decomposition = greechie.convex_decomposition(parsed.diagram, parsed.assignment)
+    yield "decomposable", decomposition is not None, True, 0
 
 
-def _case_three_contexts(fixtures: Path) -> str | None:
+def _case_three_contexts(fixtures: Path):
     parsed = _load_greechie(fixtures / "fig_three_contexts_classical.greechie")
-    states = greechie.enumerate_two_valued_states(parsed.diagram)
-    if len(states) != 8:
-        return f"{len(states)} two-valued states instead of 2^3"
+    yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 8, 0
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
-    if verdict.realizable:
-        return "classical 0/1 measure reported as quantum-realizable"
-    return None
+    yield "quantum-realizable", verdict.realizable, False, 0
 
 
 DEMO_CASES: tuple[tuple[str, object], ...] = (
@@ -554,7 +515,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
     failures = 0
     for name, case in DEMO_CASES:
         try:
-            detail = case(fixtures)
+            detail = _first_failure(case(fixtures))
         except Exception as exc:  # a broken fixture should fail its case, not the run
             detail = f"{type(exc).__name__}: {exc}"
         if detail is None:
@@ -579,7 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="zero threshold for signature/rank/validity decisions",
+        help=(
+            "zero threshold for the signature (signature, reconstruct) and for "
+            "greechie check; the other commands use fixed tolerances"
+        ),
     )
     parser = argparse.ArgumentParser(
         prog="gleason",

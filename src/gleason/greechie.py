@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
     SymMatrix,
+    content_lines,
     eigh,
     finite_float,
     lp_feasible,
@@ -115,7 +116,7 @@ class TwoValuedState:
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Unit vectors (ray representatives, normalized on construction) per atom."""
+    """Finite, nonzero vectors per atom (ray representatives, normalized on construction)."""
 
     vectors: dict[str, np.ndarray]
     dim: int = 0
@@ -125,6 +126,8 @@ class VectorRealization:
         dim = self.dim
         for atom, vec in self.vectors.items():
             v = np.asarray(vec, dtype=float).reshape(-1)
+            if not np.all(np.isfinite(v)):
+                raise InvalidRealization(f"vector for {atom!r} has non-finite components")
             if dim == 0:
                 dim = v.shape[0]
             elif v.shape[0] != dim:
@@ -565,12 +568,7 @@ def parse_greechie_text(text: str) -> GreechieFile:
     vec_dim = 0
     declared: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        keyword, args = parts[0], parts[1:]
+    for lineno, (keyword, *args) in content_lines(text):
         if keyword == "atom":
             if len(args) != 1:
                 raise GreechieFormatError(f"line {lineno}: atom takes exactly one id")

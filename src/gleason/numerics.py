@@ -263,6 +263,18 @@ def finite_float(token: str) -> float:
     return value
 
 
+def content_lines(text: str):
+    """Yield ``(line number, tokens)`` for each line with content.
+
+    ``#`` starts a comment; lines blank after it are skipped. Line numbers
+    count every line of ``text``, from 1, so messages can name file lines.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the shared matrix format: ``dim n`` then n rows of n decimals.
 
@@ -270,14 +282,10 @@ def parse_matrix_text(text: str) -> np.ndarray:
     accepted, nan and infinities are not. Decimal points only, independent
     of locale.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = list(content_lines(text))
     if not lines:
         raise MatrixFormatError("empty matrix input")
-    head = lines[0].split()
+    head = lines[0][1]
     if len(head) != 2 or head[0] != "dim":
         raise MatrixFormatError("first line must be 'dim n'")
     try:
@@ -289,16 +297,15 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if len(lines) - 1 != n:
         raise MatrixFormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        parts = line.split()
+    for lineno, parts in lines[1:]:
         if len(parts) != n:
             raise MatrixFormatError(
-                f"row {lineno}: expected {n} entries, found {len(parts)}"
+                f"line {lineno}: expected {n} entries, found {len(parts)}"
             )
         try:
             rows.append([finite_float(p) for p in parts])
         except ValueError as exc:
-            raise MatrixFormatError(f"row {lineno}: {exc}") from None
+            raise MatrixFormatError(f"line {lineno}: {exc}") from None
     return np.array(rows)
 
 

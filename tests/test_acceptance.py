@@ -3,7 +3,10 @@
 Each test prints one PASS line on success (visible with -s or -rP); a
 failing assertion marks the criterion red. Expected values were fixed in
 advance by independent brute-force oracles (exhaustive enumeration,
-closed-form eigenvalue formulas, basic-solution LP checks).
+closed-form eigenvalue formulas, basic-solution LP checks). The 3/7 and
+twelfths reconstructions, the pentagon's kernel-rank certificate and
+extremality, and the two-context feasibility verdicts are asserted once, in
+test_frame.py and test_greechie.py.
 """
 
 import math
@@ -12,25 +15,18 @@ import numpy as np
 import pytest
 
 from gleason import (
-    DensityOperator,
     FrameFunction,
     FrameOracle,
-    ProbabilityAssignment,
     StateVector,
     SymMatrix,
-    builtin_spin_half_family,
     builtin_wright_pentagon,
     check_realization,
-    classify,
-    convex_decomposition,
     enumerate_two_valued_states,
     evaluate,
     from_density,
-    is_polytope_vertex,
     mix,
     parse_greechie_text,
     pure_state,
-    quantum_feasibility,
     reconstruct_density,
     signature,
     spectral_mixture,
@@ -51,33 +47,6 @@ SQ2 = math.sqrt(2.0)
 
 def done(label):
     print(f"ACCEPTANCE {label}: PASS")
-
-
-def test_01_golden_reconstruction_orthogonal():
-    oracle = FrameOracle(
-        evaluator=lambda x: (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0, dim=3
-    )
-    rho = reconstruct_density(oracle)
-    expected = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
-    assert np.max(np.abs(rho.matrix.entries - expected)) <= 1e-12
-    weights = sorted(w for w, _ in spectral_mixture(rho))
-    assert abs(weights[0] - 3.0 / 7.0) <= 1e-12
-    assert abs(weights[1] - 4.0 / 7.0) <= 1e-12
-    done("1 golden-reconstruction")
-
-
-def test_02_golden_reconstruction_nonorthogonal():
-    oracle = FrameOracle(
-        evaluator=lambda x: (
-            4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
-        )
-        / 12.0,
-        dim=3,
-    )
-    rho = reconstruct_density(oracle)
-    expected = np.array([[7.0, -3.0, 0.0], [-3.0, 4.0, -1.0], [0.0, -1.0, 1.0]]) / 12.0
-    assert np.max(np.abs(rho.matrix.entries - expected)) <= 1e-12
-    done("2 golden-reconstruction-2")
 
 
 def test_03_bell_frame_functions():
@@ -168,29 +137,6 @@ def test_08_pentagon_embedding():
     done("8 pentagon-embedding")
 
 
-def test_09_pentagon_non_realizability():
-    diagram, realization, measure = builtin_wright_pentagon()
-    verdict = quantum_feasibility(diagram, realization, measure)
-    assert not verdict.realizable
-    assert verdict.certificate.kind == "kernel-rank"
-    assert verdict.certificate.kernel_rank == 3
-    done("9 pentagon-non-realizability")
-
-
-def test_10_two_context_feasibility():
-    diagram, realization = builtin_spin_half_family(2, [0.0, math.pi / 4])
-    uniform = ProbabilityAssignment({a: 0.5 for a in diagram.atoms})
-    verdict = quantum_feasibility(diagram, realization, uniform)
-    assert verdict.realizable
-    assert np.max(np.abs(verdict.density.matrix.entries - np.diag([0.5, 0.5]))) <= 1e-10
-
-    classical = ProbabilityAssignment(
-        {a: (1.0 if a.endswith("-") else 0.0) for a in diagram.atoms}
-    )
-    assert not quantum_feasibility(diagram, realization, classical).realizable
-    done("10 two-context-feasibility")
-
-
 @pytest.mark.parametrize(
     "name",
     [
@@ -214,18 +160,3 @@ def test_11_two_valued_enumeration_matches_brute_force(name):
     }[name]
     assert len(states) == expected_count
     done(f"11 enumeration-vs-brute-force[{name}]")
-
-
-def test_12_extremality():
-    diagram, _, measure = builtin_wright_pentagon()
-    assert is_polytope_vertex(diagram, measure)
-    assert convex_decomposition(diagram, measure) is None
-    for state in enumerate_two_valued_states(diagram):
-        assert is_polytope_vertex(diagram, state.as_assignment())
-
-    spin, _ = builtin_spin_half_family(2, [0.0, math.pi / 4])
-    for state in enumerate_two_valued_states(spin):
-        assert is_polytope_vertex(spin, state.as_assignment())
-    uniform = ProbabilityAssignment({a: 0.5 for a in spin.atoms})
-    assert not is_polytope_vertex(spin, uniform)
-    done("12 extremality")

@@ -143,11 +143,14 @@ class TestReconstruct:
     def test_indefinite_form_has_no_classification(self, capsys, tmp_path):
         form = tmp_path / "indefinite.mat"
         form.write_text("dim 2\n1.5 0\n0 -0.5\n")
-        code, payload, _ = structured(capsys, "reconstruct", str(form))
-        assert code == EXIT_OK
-        values = verdicts(payload)
-        assert values["quantum"] is False
-        assert values["classification"] is None
+        for command in ("reconstruct", "signature"):
+            code, payload, _ = structured(capsys, command, str(form))
+            assert code == EXIT_OK
+            values = verdicts(payload)
+            assert values["classification"] is None
+            assert "negative squares" in values["classification_note"]
+            if command == "reconstruct":
+                assert values["quantum"] is False
 
     def test_probe_table_reconstruction(self, capsys, tmp_path):
         s = float(np.sqrt(0.5))

@@ -7,6 +7,7 @@ from gleason.greechie import (
     DuplicateDirection,
     GreechieDiagram,
     GreechieFormatError,
+    InvalidRealization,
     InvalidState,
     ProbabilityAssignment,
     TwoValuedState,
@@ -246,6 +247,13 @@ class TestCheckRealization:
         )
         kinds = {v.kind for v in check_realization(diagram, realization)}
         assert "block-size" in kinds
+
+    @pytest.mark.parametrize(
+        "bad", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]], ids=["zero", "nan", "inf"]
+    )
+    def test_degenerate_vector_is_rejected(self, bad):
+        with pytest.raises(InvalidRealization):
+            VectorRealization({"a": bad, "b": [0.0, 1.0]})
 
     def test_missing_vector_raises(self):
         diagram, _ = builtin_spin_half_family(1, [0.0])

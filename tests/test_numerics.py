@@ -348,3 +348,8 @@ class TestMatrixText:
     def test_rejects_malformed(self, text):
         with pytest.raises(MatrixFormatError):
             parse_matrix_text(text)
+
+    def test_error_names_the_file_line(self):
+        # comment and blank lines count: the short row is line 5 of the text
+        with pytest.raises(MatrixFormatError, match="line 5"):
+            parse_matrix_text("# c\n\ndim 2\n0.5 0\n0 0.5 1\n")
