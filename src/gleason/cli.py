@@ -6,7 +6,7 @@ round-trip at full precision. Exit codes are a stable contract:
 
   0  success
   1  demo mismatch
-  2  parse failure (bad file format, unreadable file)
+  2  parse failure (bad file format, unreadable file, bad option value)
   3  validation failure (violated invariant)
   4  probe table inconsistent with any quadratic form
   5  infeasible as requested (NotRealizable / NotDecomposable verdicts)
@@ -528,6 +528,13 @@ def _cmd_demo(args) -> tuple[Report, int]:
     return report, EXIT_OK if failures == 0 else EXIT_DEMO_FAIL
 
 
+def _positive_tol(token: str) -> float:
+    value = finite_float(token)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {token!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol",
-        type=float,
+        type=_positive_tol,
         default=DEFAULT_TOL,
         help=(
             "zero threshold for the signature (signature, reconstruct) and for "

@@ -203,7 +203,7 @@ def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:
     Values at exactly +/-tol count as zero. Invariant under congruence
     transforms S^T A S with nonsingular S (Sylvester's law of inertia).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     w = eigh(f.form).eigenvalues
     positive = int(np.sum(w > tol))

@@ -261,22 +261,18 @@ def convex_decomposition(
     """Express the state as a convex sum of two-valued states, if possible.
 
     Feasibility of { w >= 0, sum w = 1, sum_s w_s s(atom) = p(atom) } is
-    decided by the phase-one simplex; None means no decomposition exists.
+    decided by ``lp_feasible``; None means no decomposition exists, and
+    every entry's weight is above DEFAULT_TOL.
     """
     _require_valid_state(diagram, assignment)
     states = enumerate_two_valued_states(diagram)
-    if not states:
-        return None
     columns = np.array([[s.values[a] for s in states] for a in diagram.atoms], dtype=float)
     rows = np.vstack([columns, np.ones(len(states))])
     rhs = np.array([assignment.values[a] for a in diagram.atoms] + [1.0])
     weights = lp_feasible(rows, rhs)
     if weights is None:
         return None
-    entries = tuple(
-        (float(w), s) for w, s in zip(weights, states) if w > 1e-12
-    )
-    return Decomposition(entries)
+    return Decomposition(tuple((float(w), s) for w, s in zip(weights, states) if w))
 
 
 def is_polytope_vertex(

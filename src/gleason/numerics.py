@@ -2,9 +2,9 @@
 
 Everything here is float64 and sized for desk-scale problems (dimensions up
 to a few dozen). Eigendecomposition, rank, least squares and
-orthonormalization delegate to LAPACK through numpy; a phase-one simplex
-decides LP feasibility. The shared ``dim n`` matrix text format used by the
-command line lives here as well.
+orthonormalization delegate to LAPACK through numpy, and so does LP
+feasibility, decided by non-negative least squares. The shared ``dim n``
+matrix text format used by the command line lives here as well.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
 
     ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
     return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
@@ -141,65 +141,42 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
 def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Decide existence of x >= 0 with a @ x = b.
 
-    Phase-one simplex with Bland's anti-cycling rule, float64 throughout.
-    Returns a witness point when feasible, None otherwise.
+    Lawson-Hanson non-negative least squares (Solving Least Squares
+    Problems, 1974, ch. 23), one LAPACK solve per step. Returns a witness
+    with entries exactly 0 or above tol if max |a x - b| <= tol * max(1,
+    max |b|), else None; RuntimeError if 3n steps do not settle.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionMismatch(f"{m} equations but {b.shape[0]} right-hand sides")
-    if n == 0:
-        return np.zeros(0) if np.all(np.abs(b) <= tol) else None
-
-    # Canonical tableau with one artificial variable per row; minimize their sum.
-    flip = b < 0.0
-    t = np.hstack([np.where(flip[:, None], -a, a), np.eye(m)])
-    rhs = np.where(flip, -b, b)
-    basis = list(range(n, n + m))
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-
-    # Bland's rule prevents cycling; the cap only guards against float-tie
-    # pathologies and is far above anything desk-scale problems need.
-    for _ in range(5000):
-        reduced = cost - cost[basis] @ t
-        entering = -1
-        for j in range(n + m):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving, best, best_var = -1, math.inf, math.inf
-        for i in range(m):
-            coef = t[i, entering]
-            if coef > tol:
-                ratio = rhs[i] / coef
-                if ratio < best - tol or (abs(ratio - best) <= tol and basis[i] < best_var):
-                    leaving, best, best_var = i, ratio, basis[i]
-        if leaving < 0:
-            # Unbounded cannot happen in phase one; defensive stop.
-            return None
-        pivot = t[leaving, entering]
-        t[leaving] /= pivot
-        rhs[leaving] /= pivot
-        for i in range(m):
-            if i != leaving and t[i, entering] != 0.0:
-                factor = t[i, entering]
-                t[i] -= factor * t[leaving]
-                rhs[i] -= factor * rhs[leaving]
-        basis[leaving] = entering
-    else:
-        raise RuntimeError("phase-one simplex failed to terminate")
-
-    infeasibility = sum(rhs[i] for i in range(m) if basis[i] >= n)
-    if infeasibility > tol:
-        return None
+    residual_tol = tol * max(1.0, np.max(np.abs(b), initial=0.0))
+    norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = max(rhs[i], 0.0)
-    return x
+    active = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):
+        gradient = np.where(active, -np.inf, a.T @ (b - a @ x) / norms)
+        if np.max(gradient, initial=-np.inf) <= residual_tol:
+            break
+        entering = int(np.argmax(gradient))
+        active[entering] = True
+        s = np.zeros(n)
+        s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
+        if s[entering] <= tol:  # > 0 in exact arithmetic: roundoff has stalled the search
+            break
+        while np.any(low := active & (s <= tol)):
+            # x > tol >= s on low columns: step to the first zero, drop it.
+            ratio = x[low] / (x[low] - s[low])
+            x += ratio.min() * (s - x)
+            active[np.flatnonzero(low)[np.argmin(ratio)]] = False
+            active &= x > tol
+            s = np.zeros(n)
+            s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
+        x = s
+    else:
+        raise RuntimeError("non-negative least squares did not settle in 3n steps")
+    return x if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol else None
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The oracles here are intentionally independent of the library paths they
 check: exhaustive enumeration for two-valued states and for LP feasibility,
-and plain numpy arithmetic for expected values.
+scipy's HiGHS for LPs too large to enumerate (tests using it are skipped
+without scipy), and plain numpy arithmetic for expected values.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from gleason import DensityOperator, GreechieDiagram, SymMatrix, orthonormalize
 
@@ -80,6 +82,24 @@ def brute_force_lp_feasible(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> 
             if np.linalg.norm(sub @ x - b) <= tol and np.min(x) >= -1e-9:
                 return True
     return False
+
+
+def highs_lp_feasible(a: np.ndarray, b: np.ndarray) -> bool:
+    """Feasibility of {x >= 0, a x = b} by scipy's HiGHS solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    result = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert result.status in (0, 2), result.message  # 0 feasible, 2 infeasible
+    return result.status == 0
+
+
+def random_diagram(rng: np.random.Generator) -> GreechieDiagram:
+    """Random blocks of one size (2 or 3) drawn until they cover 3..10 atoms."""
+    size = int(rng.integers(2, 4))
+    atoms = [f"a{i}" for i in range(int(rng.integers(size + 1, 11)))]
+    blocks: set[tuple[str, ...]] = set()
+    while {a for block in blocks for a in block} != set(atoms):
+        blocks.add(tuple(sorted(rng.choice(atoms, size=size, replace=False).tolist())))
+    return GreechieDiagram(tuple(atoms), tuple(sorted(blocks)))
 
 
 def pentagon_b_vectors() -> np.ndarray:

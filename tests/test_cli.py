@@ -191,6 +191,22 @@ class TestSignatureCommand:
         assert verdicts(payload)["signature"]["positive"] == 1
 
 
+class TestTolOption:
+    @pytest.mark.parametrize("command", ["signature", "greechie check"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, command, token):
+        # A usage error (exit 2), never a verdict or a validation failure.
+        one_zero = tmp_path / "one-zero.greechie"
+        one_zero.write_text("atom a\natom b\nblock a b\nprob a 1\nprob b 0\n")
+        path = FIXTURES / "twelfths.mat" if command == "signature" else one_zero
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), str(path), "--tol", token])
+        assert info.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+
 class TestGreechieCommands:
     def test_check_pentagon(self, capsys):
         code, payload, err = structured(

@@ -213,6 +213,11 @@ class TestSignature:
         f = FrameFunction(SymMatrix.diagonal([2e-9, 1e-9, -1e-9]))
         assert signature(f, tol) == Signature(positive=1, negative=0, zero=2)
 
+    def test_requires_positive_tol(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                signature(FrameFunction(SymMatrix(TWELFTHS)), tol)
+
     def test_parts_sum_to_dimension(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

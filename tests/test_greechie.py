@@ -23,8 +23,8 @@ from gleason.greechie import (
     quantum_feasibility,
     validate_state,
 )
-from gleason.numerics import DimensionMismatch
-from support import brute_force_two_valued
+from gleason.numerics import DEFAULT_TOL, DimensionMismatch
+from support import brute_force_two_valued, highs_lp_feasible, random_diagram
 
 TRIANGLE = GreechieDiagram(
     atoms=("x", "y", "z"), blocks=(("x", "y"), ("y", "z"), ("z", "x"))
@@ -169,6 +169,41 @@ class TestConvexDecomposition:
         rebuilt = result.reconstructed(diagram.atoms)
         for atom in diagram.atoms:
             assert abs(rebuilt[atom] - 0.5) <= 1e-8
+
+    def test_all_half_measure_on_fourteen_contexts(self):
+        # 2^14 two-valued states: an LP with 16384 columns and 29 rows.
+        diagram, _ = builtin_spin_half_family(14, [i * math.pi / 28 for i in range(14)])
+        result = convex_decomposition(diagram, uniform_measure(diagram))
+        assert result is not None
+        assert abs(sum(w for w, _ in result.entries) - 1.0) <= 1e-9
+        rebuilt = result.reconstructed(diagram.atoms)
+        assert max(abs(rebuilt[a] - 0.5) for a in diagram.atoms) <= 1e-9
+
+    def test_agrees_with_highs_on_random_diagrams(self):
+        # Measures mix 1/|block| on every atom with a random mixture of
+        # two-valued states, so both verdicts occur.
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for trial in range(300):
+            diagram = random_diagram(rng)
+            states = enumerate_two_valued_states(diagram)
+            size = len(diagram.blocks[0])
+            weights = rng.random(len(states)) * (rng.random(len(states)) < 0.5)
+            weights /= max(weights.sum(), 1.0)
+            columns = np.array([[s.values[a] for s in states] for a in diagram.atoms])
+            probs = (1.0 - weights.sum()) / size + columns @ weights
+            p = dict(zip(diagram.atoms, probs))
+            result = convex_decomposition(diagram, ProbabilityAssignment(p))
+            rows = np.vstack([columns, np.ones(len(states))])
+            expected = bool(states) and highs_lp_feasible(rows, np.append(probs, 1.0))
+            assert (result is not None) == expected, f"trial {trial}"
+            verdicts.append(expected)
+            if result is not None:
+                assert all(w > DEFAULT_TOL for w, _ in result.entries)
+                assert abs(sum(w for w, _ in result.entries) - 1.0) <= 1e-9
+                rebuilt = result.reconstructed(diagram.atoms)
+                assert max(abs(rebuilt[a] - p[a]) for a in diagram.atoms) <= 1e-9
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_pentagon_measure_is_not_decomposable(self):
         diagram, _, measure = builtin_wright_pentagon()

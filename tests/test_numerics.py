@@ -20,6 +20,7 @@ from gleason.numerics import (
 )
 from support import (
     brute_force_lp_feasible,
+    highs_lp_feasible,
     pentagon_b_vectors,
     random_orthonormal,
     random_symmetric,
@@ -142,8 +143,9 @@ class TestRank:
         assert rank(active, 1e-3) == 1
 
     def test_requires_positive_tol(self):
-        with pytest.raises(ValueError):
-            rank(SymMatrix.identity(2), 0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                rank(SymMatrix.identity(2), tol)
 
 
 class TestLeastSquares:
@@ -234,6 +236,31 @@ class TestLpFeasible:
             if witness is not None:
                 assert np.max(np.abs(a @ witness - b)) <= 1e-7
                 assert np.min(witness) >= -1e-9
+
+    def test_agrees_with_highs(self):
+        # Systems too large to enumerate: is b in the convex hull of the
+        # columns of an integer, 0/1 (repeated columns, degenerate vertices)
+        # or Gaussian matrix? b is a sparse convex combination, moved by +-1
+        # along one axis in every other group of three trials.
+        rng = np.random.default_rng(4)
+        for trial in range(180):
+            m, n = int(rng.integers(2, 10)), int(rng.integers(10, 40))
+            a = [
+                rng.integers(-3, 4, size=(m, n)).astype(float),
+                (rng.random((m, n)) < 0.4).astype(float),
+                rng.standard_normal((m, n)),
+            ][trial % 3]
+            a = np.vstack([a, np.ones(n)])
+            x0 = rng.random(n) * (rng.random(n) < 0.3)
+            b = a @ (x0 / max(x0.sum(), 1e-9))
+            b[-1] = 1.0
+            if trial // 3 % 2:
+                b[int(rng.integers(m))] += rng.choice([-1.0, 1.0])
+            witness = lp_feasible(a, b)
+            assert (witness is not None) == highs_lp_feasible(a, b), f"trial {trial}"
+            if witness is not None:
+                assert np.max(np.abs(a @ witness - b)) <= 1e-9
+                assert np.all((witness == 0.0) | (witness > 1e-9))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
