@@ -1,12 +1,13 @@
 """Command-line front end.
 
-One command per process; reports are built once and rendered either as
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call. Reports are built once and rendered either as
 human-readable text (6 significant digits) or as JSON whose numbers
 round-trip at full precision. Exit codes are a stable contract:
 
   0  success
   1  demo mismatch
-  2  parse failure (bad file format, unreadable file, bad option value)
+  2  parse failure (bad file format, unreadable or non-UTF-8 file, bad option value)
   3  validation failure (violated invariant)
   4  probe table inconsistent with any quadratic form
   5  infeasible as requested (NotRealizable / NotDecomposable verdicts)
@@ -15,6 +16,7 @@ round-trip at full precision. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -362,7 +364,13 @@ def _first_failure(checks) -> str | None:
 
 
 def _unit_probes(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    return np.array([x / np.linalg.norm(x) for x in rng.standard_normal((count, n))])
+    x = rng.standard_normal((count, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _frame_values(f: frame.FrameFunction, x: np.ndarray) -> np.ndarray:
+    """x -> x^T A x on each row of ``x``."""
+    return np.einsum("ki,ij,kj->k", x, f.form.entries, x)
 
 
 def _case_pure_state(fixtures: Path):
@@ -384,7 +392,7 @@ def _case_bell_frames(fixtures: Path):
         f = frame.from_density(rho)
         x = _unit_probes(rng, 200, 4)
         closed_form = 0.5 * (x[:, i] + sign * x[:, j]) ** 2
-        yield f"{name} frame function", [frame.evaluate(f, p) for p in x], closed_form, 1e-12
+        yield f"{name} frame function", _frame_values(f, x), closed_form, 1e-12
 
 
 def _case_bell_mixture(fixtures: Path):
@@ -401,7 +409,7 @@ def _case_nonorthogonal_mixture(fixtures: Path):
     f = frame.from_density(rho)
     x = _unit_probes(np.random.default_rng(11), 200, 3)
     closed_form = a * x[:, 0] ** 2 + (b / 2.0) * (x[:, 0] + x[:, 1]) ** 2
-    yield "frame function", [frame.evaluate(f, p) for p in x], closed_form, 1e-12
+    yield "frame function", _frame_values(f, x), closed_form, 1e-12
     root = math.sqrt(0.25 - a * b / 2.0)
     weights = [w for w, _ in density.spectral_mixture(rho)]
     yield "spectral weights", weights, [0.5 + root, 0.5 - root], 1e-10
@@ -606,11 +614,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (MatrixFormatError, greechie.GreechieFormatError, OSError) as exc:
+    except (
+        MatrixFormatError,
+        greechie.GreechieFormatError,
+        OSError,
+        UnicodeDecodeError,  # a ValueError, so it must come before that clause
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except frame.NotAFrameFunction as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -189,6 +190,9 @@ class TestSignatureCommand:
         assert verdicts(payload)["signature"]["positive"] == 2
         _, payload, _ = structured(capsys, "signature", str(form), "--tol", "1e-3")
         assert verdicts(payload)["signature"]["positive"] == 1
+        # main reuses its parser, so the next call must not see that --tol.
+        _, payload, _ = structured(capsys, "signature", str(form))
+        assert verdicts(payload)["signature"]["positive"] == 2
 
 
 class TestTolOption:
@@ -338,6 +342,91 @@ class TestNonFiniteInput:
         assert code == EXIT_PARSE
         assert out == ""
         assert err != ""
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is unreadable (exit 2), not invalid (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density-to-frame"],
+            ["reconstruct"],
+            ["signature"],
+            ["greechie", "check"],
+            ["greechie", "two-valued"],
+            ["greechie", "decompose"],
+            ["greechie", "feasibility"],
+        ],
+        ids=" ".join,
+    )
+    def test_is_parse_error(self, capsys, tmp_path, argv):
+        f = tmp_path / "binary"
+        f.write_bytes(b"dim 2\n1 0\n0 \xff\n")
+        code, out, err = run(capsys, *argv, str(f))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "utf-8" in err
+
+
+class TestParserReuse:
+    """main reuses one parser; no call may see options given to an earlier one."""
+
+    def test_usage_error_does_not_affect_the_next_call(self, capsys):
+        path = str(FIXTURES / "twelfths.mat")
+        before = run(capsys, "signature", path)
+        with pytest.raises(SystemExit) as info:
+            main(["signature", path, "--tol", "nan"])
+        assert info.value.code == EXIT_PARSE
+        capsys.readouterr()
+        after = run(capsys, "signature", path)
+        assert after == before
+        assert after[0] == EXIT_OK
+
+    def test_structured_format_does_not_leak_into_the_next_call(self, capsys):
+        path = str(FIXTURES / "pure_state.mat")
+        _, payload, _ = structured(capsys, "density-to-frame", path)
+        assert payload["command"] == "density-to-frame"
+        code, out, _ = run(capsys, "density-to-frame", path)
+        assert code == EXIT_OK
+        assert out.startswith("# density-to-frame\n")
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run(capsys, "demo-paper", "--list")
+        built.clear()
+        code, _, _ = run(capsys, "signature", str(FIXTURES / "twelfths.mat"))
+        assert code == EXIT_OK
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    built.append(self)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import gleason.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestDemo:
