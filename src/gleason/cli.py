@@ -32,7 +32,6 @@ from .numerics import (
     MatrixFormatError,
     SymMatrix,
     content_lines,
-    eigh,
     finite_float,
     parse_matrix_text,
 )
@@ -154,7 +153,13 @@ def _polynomial(form: np.ndarray) -> str:
 
 
 def _read_text(path: Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as content_lines does; "x" stands in for the bad byte's line.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MatrixFormatError(f"{path}: line {line}: not utf-8 text ({exc.reason})") from None
 
 
 def _load_symmetric(path: Path) -> SymMatrix:
@@ -182,7 +187,7 @@ def _append_form_analysis(report: Report, form: SymMatrix, tol: float) -> None:
         report.add("quantum", False)
         report.add("not_quantum_reason", str(exc))
         report.add("trace", form.trace())
-        report.add("min_eigenvalue", float(eigh(form).eigenvalues[-1]))
+        report.add("min_eigenvalue", float(form.spectrum.eigenvalues[-1]))
     else:
         report.add("quantum", True)
         mixture = density.spectral_mixture(rho)
@@ -230,10 +235,7 @@ def _cmd_reconstruct(args) -> tuple[Report, int]:
         form_in = SymMatrix(parse_matrix_text(text))
         report.inputs["mode"] = "form-matrix"
         oracle = frame.FrameOracle.from_frame_function(frame.FrameFunction(form_in))
-        try:
-            reconstructed = frame.reconstruct_density(oracle).matrix
-        except frame.NotQuantum as exc:
-            reconstructed = exc.form
+        reconstructed = frame.reconstruct_form(oracle)
     else:
         probes, values = _parse_probe_table(text)
         report.inputs["mode"] = "probe-table"
@@ -333,8 +335,9 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
 
 # --------------------------------------------------------------------------
-# demo-paper: run every bundled golden case end to end. A case yields
-# (what, got, expected, tol) checks; _first_failure compares them in order.
+# demo-paper: run every bundled golden case end to end. A case gets a loader
+# of parsed fixtures by file name and yields (what, got, expected, tol)
+# checks; _first_failure compares them in order.
 
 
 def _default_fixtures() -> Path:
@@ -373,13 +376,13 @@ def _frame_values(f: frame.FrameFunction, x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", x, f.form.entries, x)
 
 
-def _case_pure_state(fixtures: Path):
-    f = frame.from_density(density.DensityOperator(_load_symmetric(fixtures / "pure_state.mat")))
+def _case_pure_state(load):
+    f = frame.from_density(density.DensityOperator(load("pure_state.mat")))
     yield "coefficient matrix", f.form.entries, np.diag([1.0, 0.0, 0.0]), 1e-12
     yield "frame function", _polynomial(f.form.entries), "x1^2", 0
 
 
-def _case_bell_frames(fixtures: Path):
+def _case_bell_frames(load):
     rng = np.random.default_rng(7)
     for name, i, j, sign in (
         ("bell_psi_plus.mat", 0, 3, +1.0),
@@ -387,7 +390,7 @@ def _case_bell_frames(fixtures: Path):
         ("bell_phi_plus.mat", 1, 2, +1.0),
         ("bell_phi_minus.mat", 1, 2, -1.0),
     ):
-        rho = density.DensityOperator(_load_symmetric(fixtures / name))
+        rho = density.DensityOperator(load(name))
         yield f"{name} is pure", density.purity(rho).is_pure, True, 0
         f = frame.from_density(rho)
         x = _unit_probes(rng, 200, 4)
@@ -395,17 +398,17 @@ def _case_bell_frames(fixtures: Path):
         yield f"{name} frame function", _frame_values(f, x), closed_form, 1e-12
 
 
-def _case_bell_mixture(fixtures: Path):
+def _case_bell_mixture(load):
     p, q = 0.25, 0.75
-    rho = density.DensityOperator(_load_symmetric(fixtures / "bell_mixture.mat"))
+    rho = density.DensityOperator(load("bell_mixture.mat"))
     block_form = np.array([[p, 0, 0, p], [0, q, q, 0], [0, q, q, 0], [p, 0, 0, p]]) / 2.0
     yield "mixture matrix", rho.matrix.entries, block_form, 1e-12
     yield "spectral weights", [w for w, _ in density.spectral_mixture(rho)], [q, p], 1e-10
 
 
-def _case_nonorthogonal_mixture(fixtures: Path):
+def _case_nonorthogonal_mixture(load):
     a = b = 0.5
-    rho = density.DensityOperator(_load_symmetric(fixtures / "nonorthogonal_mixture.mat"))
+    rho = density.DensityOperator(load("nonorthogonal_mixture.mat"))
     f = frame.from_density(rho)
     x = _unit_probes(np.random.default_rng(11), 200, 3)
     closed_form = a * x[:, 0] ** 2 + (b / 2.0) * (x[:, 0] + x[:, 1]) ** 2
@@ -415,18 +418,18 @@ def _case_nonorthogonal_mixture(fixtures: Path):
     yield "spectral weights", weights, [0.5 + root, 0.5 - root], 1e-10
 
 
-def _case_reconstruct_orthogonal(fixtures: Path):
+def _case_reconstruct_orthogonal(load):
     oracle = frame.FrameOracle(
         evaluator=lambda x: (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0, dim=3
     )
     rho = frame.reconstruct_density(oracle)
-    expected = _load_symmetric(fixtures / "sevenths.mat").entries
+    expected = load("sevenths.mat").entries
     yield "reconstructed matrix", rho.matrix.entries, expected, 1e-12
     weights = sorted(w for w, _ in density.spectral_mixture(rho))
     yield "statistical weights", weights, [3.0 / 7.0, 4.0 / 7.0], 1e-12
 
 
-def _case_reconstruct_nonorthogonal(fixtures: Path):
+def _case_reconstruct_nonorthogonal(load):
     oracle = frame.FrameOracle(
         evaluator=lambda x: (
             4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
@@ -435,43 +438,43 @@ def _case_reconstruct_nonorthogonal(fixtures: Path):
         dim=3,
     )
     rho = frame.reconstruct_density(oracle)
-    expected = _load_symmetric(fixtures / "twelfths.mat").entries
+    expected = load("twelfths.mat").entries
     yield "reconstructed matrix", rho.matrix.entries, expected, 1e-12
     f = frame.from_density(rho)
     yield "signature", astuple(frame.signature(f)), (3, 0, 0), 0
     yield "classification", frame.classify(f), 3, 0
 
 
-def _case_pentagon_embedding(fixtures: Path):
-    parsed = _load_greechie(fixtures / "pentagon.greechie")
+def _case_pentagon_embedding(load):
+    parsed = load("pentagon.greechie")
     bad = greechie.check_realization(parsed.diagram, parsed.realization)
     yield "realization violations", "; ".join(v.detail for v in bad), "", 0
     bad = greechie.validate_state(parsed.diagram, parsed.assignment)
     yield "state violations", "; ".join(v.detail for v in bad), "", 0
 
 
-def _case_pentagon_infeasible(fixtures: Path):
-    parsed = _load_greechie(fixtures / "pentagon.greechie")
+def _case_pentagon_infeasible(load):
+    parsed = load("pentagon.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     yield "quantum-realizable", verdict.realizable, False, 0
     cert = verdict.certificate
     yield "certificate", f"{cert.kind}/{cert.kernel_rank}", "kernel-rank/3", 0
 
 
-def _case_pentagon_two_valued(fixtures: Path):
-    parsed = _load_greechie(fixtures / "pentagon.greechie")
+def _case_pentagon_two_valued(load):
+    parsed = load("pentagon.greechie")
     yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 11, 0
 
 
-def _case_pentagon_extremal(fixtures: Path):
-    parsed = _load_greechie(fixtures / "pentagon.greechie")
+def _case_pentagon_extremal(load):
+    parsed = load("pentagon.greechie")
     yield "extreme point", greechie.is_polytope_vertex(parsed.diagram, parsed.assignment), True, 0
     decomposition = greechie.convex_decomposition(parsed.diagram, parsed.assignment)
     yield "decomposable", decomposition is not None, False, 0
 
 
-def _case_spin_half_classical(fixtures: Path):
-    parsed = _load_greechie(fixtures / "fig_two_contexts_classical.greechie")
+def _case_spin_half_classical(load):
+    parsed = load("fig_two_contexts_classical.greechie")
     yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 4, 0
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     yield "quantum-realizable", verdict.realizable, False, 0
@@ -479,8 +482,8 @@ def _case_spin_half_classical(fixtures: Path):
     yield "decomposable", decomposition is not None, True, 0
 
 
-def _case_spin_half_ignorant(fixtures: Path):
-    parsed = _load_greechie(fixtures / "fig_two_contexts_ignorant.greechie")
+def _case_spin_half_ignorant(load):
+    parsed = load("fig_two_contexts_ignorant.greechie")
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     yield "quantum-realizable", verdict.realizable, True, 0
     yield "realizing state", verdict.density.matrix.entries, np.diag([0.5, 0.5]), 1e-10
@@ -489,8 +492,8 @@ def _case_spin_half_ignorant(fixtures: Path):
     yield "decomposable", decomposition is not None, True, 0
 
 
-def _case_three_contexts(fixtures: Path):
-    parsed = _load_greechie(fixtures / "fig_three_contexts_classical.greechie")
+def _case_three_contexts(load):
+    parsed = load("fig_three_contexts_classical.greechie")
     yield "two-valued states", len(greechie.enumerate_two_valued_states(parsed.diagram)), 8, 0
     verdict = greechie.quantum_feasibility(parsed.diagram, parsed.realization, parsed.assignment)
     yield "quantum-realizable", verdict.realizable, False, 0
@@ -520,10 +523,16 @@ def _cmd_demo(args) -> tuple[Report, int]:
         return report, EXIT_OK
     fixtures = args.fixtures if args.fixtures is not None else _default_fixtures()
     report.inputs["fixtures"] = str(fixtures)
+
+    @functools.cache  # for this run only; a failed load is retried by the next case
+    def load(name: str):
+        path = fixtures / name
+        return _load_greechie(path) if path.suffix == ".greechie" else _load_symmetric(path)
+
     failures = 0
     for name, case in DEMO_CASES:
         try:
-            detail = _first_failure(case(fixtures))
+            detail = _first_failure(case(load))
         except Exception as exc:  # a broken fixture should fail its case, not the run
             detail = f"{type(exc).__name__}: {exc}"
         if detail is None:
@@ -624,12 +633,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (
-        MatrixFormatError,
-        greechie.GreechieFormatError,
-        OSError,
-        UnicodeDecodeError,  # a ValueError, so it must come before that clause
-    ) as exc:
+    except (MatrixFormatError, greechie.GreechieFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except frame.NotAFrameFunction as exc:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, DimensionMismatch, SymMatrix, eigh, orthonormalize
+from .numerics import DEFAULT_TOL, DimensionMismatch, SymMatrix, orthonormalize
 
 _NORM_SLACK = 1e-6
 
@@ -78,7 +78,7 @@ class DensityOperator:
         tr = self.matrix.trace()
         if abs(tr - 1.0) > DEFAULT_TOL:
             raise TraceNotOne(f"trace is {tr!r}, not 1")
-        smallest = float(eigh(self.matrix).eigenvalues[-1])
+        smallest = float(self.matrix.spectrum.eigenvalues[-1])
         if smallest < -DEFAULT_TOL:
             raise NotPositiveSemidefinite(
                 f"not positive semidefinite (minimum eigenvalue {smallest:.3e})"
@@ -98,27 +98,28 @@ class Projector:
     """Orthogonal projector: idempotent with eigenvalues in {0, 1}."""
 
     matrix: SymMatrix
-    rank_hint: int = -1
 
     def __post_init__(self) -> None:
         e = self.matrix.entries
         if float(np.max(np.abs(e @ e - e))) > DEFAULT_TOL:
             raise NotAProjector("matrix is not idempotent")
-        w = eigh(self.matrix).eigenvalues
+        w = self.matrix.spectrum.eigenvalues
         if float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) > DEFAULT_TOL:
             raise NotAProjector("eigenvalues are not all in {0, 1}")
-        if self.rank_hint < 0:
-            object.__setattr__(self, "rank_hint", int(round(self.matrix.trace())))
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
 
+    @property
+    def rank_hint(self) -> int:
+        return int(round(self.matrix.trace()))
+
     @classmethod
     def onto(cls, vectors) -> "Projector":
         """Projector onto the span of the given (independent) vectors."""
         q = orthonormalize(np.atleast_2d(np.asarray(vectors, dtype=float)))
-        return cls(SymMatrix(q.T @ q), rank_hint=q.shape[0])
+        return cls(SymMatrix(q.T @ q))
 
 
 def pure_state(x: StateVector) -> DensityOperator:
@@ -177,7 +178,7 @@ def spectral_mixture(rho: DensityOperator) -> list[tuple[float, StateVector]]:
     weights any orthonormal eigenbasis is legitimate, so compare
     reconstructed matrices rather than vector lists.
     """
-    dec = eigh(rho.matrix)
+    dec = rho.matrix.spectrum
     pairs = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
         if lam > DEFAULT_TOL:

@@ -9,8 +9,8 @@ case is still representable here and classified by its inertia signature.
 Reconstruction of A from a black-box evaluator uses the polarization
 identity, which solves the defining linear system in closed form with the
 minimal probe set: n basis vectors plus the n(n-1)/2 mixed probes
-(e_i + e_j)/sqrt(2). A least-squares entry point handles noisy or
-overdetermined probe tables instead.
+(e_i + e_j)/sqrt(2), checked on ten seeded probes. Least squares handles
+noisy or overdetermined probe tables instead.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
     SymMatrix,
-    eigh,
     quad_coeff_row,
     solve_least_squares,
     sym_from_packed,
@@ -117,9 +116,13 @@ def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
     """Coefficient matrix from oracle values, by the polarization identity.
 
     A_ii = f(e_i) and A_ij = f((e_i + e_j)/sqrt 2) - (f(e_i) + f(e_j))/2.
-    Exact for any genuine quadratic form; no consistency checking here.
+    Ten seeded random unit probes then check the oracle against this form
+    to 1e-7 (loose enough for float-backed evaluators), raising
+    NotAFrameFunction on a deviation. The dimension must be at least 2.
     """
     n = oracle.dim
+    if n < 2:
+        raise DimensionMismatch("oracle dimension must be at least 2")
     basis = np.eye(n)
     diag = [float(oracle.evaluator(basis[i])) for i in range(n)]
     a = np.diag(diag)
@@ -127,32 +130,28 @@ def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
         for j in range(i + 1, n):
             mixed = (basis[i] + basis[j]) / math.sqrt(2.0)
             a[i, j] = a[j, i] = float(oracle.evaluator(mixed)) - (diag[i] + diag[j]) / 2.0
-    return SymMatrix(a)
+    form = SymMatrix(a)
+    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
+    for _ in range(_ORACLE_PROBE_COUNT):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        deviation = abs(float(oracle.evaluator(x)) - float(x @ form.entries @ x))
+        if deviation > _ORACLE_PROBE_TOL:
+            raise NotAFrameFunction(
+                "oracle deviates from the reconstructed quadratic form "
+                f"by {deviation:.3e} at a probe point"
+            )
+    return form
 
 
 def reconstruct_density(oracle: FrameOracle) -> DensityOperator:
     """Recover the density operator behind a frame-function oracle.
 
-    After the polarization reconstruction, ten random unit probes verify
-    that the oracle really is the recovered quadratic form (tolerance 1e-7,
-    loose enough for float-backed evaluators); deviations raise
-    NotAFrameFunction. Forms failing the unit-trace or positivity checks
-    raise NotQuantum with diagnostics attached.
+    The form comes from :func:`reconstruct_form`, with its checks. Forms
+    failing the unit-trace or positivity checks raise NotQuantum with
+    diagnostics attached.
     """
-    if oracle.dim < 2:
-        raise DimensionMismatch("oracle dimension must be at least 2")
     form = reconstruct_form(oracle)
-    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
-    for _ in range(_ORACLE_PROBE_COUNT):
-        x = rng.standard_normal(oracle.dim)
-        x /= np.linalg.norm(x)
-        predicted = float(x @ form.entries @ x)
-        observed = float(oracle.evaluator(x))
-        if abs(observed - predicted) > _ORACLE_PROBE_TOL:
-            raise NotAFrameFunction(
-                "oracle deviates from the reconstructed quadratic form "
-                f"by {abs(observed - predicted):.3e} at a probe point"
-            )
     try:
         return DensityOperator(form)
     except (TraceNotOne, NotPositiveSemidefinite) as exc:
@@ -160,7 +159,7 @@ def reconstruct_density(oracle: FrameOracle) -> DensityOperator:
             f"reconstructed form is not a density operator: {exc}",
             form=form,
             trace=form.trace(),
-            min_eigenvalue=float(eigh(form).eigenvalues[-1]),
+            min_eigenvalue=float(form.spectrum.eigenvalues[-1]),
         ) from exc
 
 
@@ -187,8 +186,7 @@ def reconstruct_from_samples(probes, values) -> SampledReconstruction:
         raise DimensionMismatch(
             f"{probes.shape[0]} probes but {values.shape[0]} values"
         )
-    rows = np.array([quad_coeff_row(x) for x in probes])
-    fit = solve_least_squares(rows, values)
+    fit = solve_least_squares(quad_coeff_row(probes), values)
     form = SymMatrix(sym_from_packed(fit.solution, probes.shape[1]))
     return SampledReconstruction(
         frame_function=FrameFunction(form),
@@ -205,7 +203,7 @@ def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    w = eigh(f.form).eigenvalues
+    w = f.form.spectrum.eigenvalues
     positive = int(np.sum(w > tol))
     negative = int(np.sum(w < -tol))
     return Signature(positive, negative, f.dim - positive - negative)

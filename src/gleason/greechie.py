@@ -25,7 +25,6 @@ from .numerics import (
     DimensionMismatch,
     SymMatrix,
     content_lines,
-    eigh,
     finite_float,
     lp_feasible,
     quad_coeff_row,
@@ -404,12 +403,13 @@ def quantum_feasibility(
     _require_valid_realization(diagram, realization)
     _require_valid_state(diagram, assignment)
     n = realization.dim
-    zero_atoms = [a for a in diagram.atoms if assignment.values[a] <= _ZERO_PROB_TOL]
+    vectors = np.array([realization.vectors[a] for a in diagram.atoms])
+    probs = np.array([assignment.values[a] for a in diagram.atoms])
+    zero = probs <= _ZERO_PROB_TOL
 
-    if zero_atoms:
-        z = np.array([realization.vectors[a] for a in zero_atoms])
-        gram = SymMatrix(z.T @ z)
-        dec = eigh(gram)
+    if zero.any():
+        z = vectors[zero]
+        dec = SymMatrix(z.T @ z).spectrum
         scale = max(1.0, float(dec.eigenvalues[0]))
         kernel_rank = int(np.sum(dec.eigenvalues > DEFAULT_TOL * scale))
         if kernel_rank == n:
@@ -422,31 +422,17 @@ def quantum_feasibility(
         basis = np.eye(n)
     m = basis.shape[1]
 
-    rows, rhs = [], []
-    for atom in diagram.atoms:
-        p = assignment.values[atom]
-        if p > _ZERO_PROB_TOL:
-            reduced = basis.T @ realization.vectors[atom]
-            rows.append(quad_coeff_row(reduced))
-            rhs.append(p)
-    rows.append(np.concatenate([np.ones(m), np.zeros(m * (m - 1) // 2)]))
-    rhs.append(1.0)
-    fit = solve_least_squares(np.array(rows), np.array(rhs))
+    trace_row = np.concatenate([np.ones(m), np.zeros(m * (m - 1) // 2)])
+    rows = np.vstack([quad_coeff_row(vectors[~zero] @ basis), trace_row])
+    fit = solve_least_squares(rows, np.append(probs[~zero], 1.0))
     sigma = sym_from_packed(fit.solution, m)
     rho = basis @ sigma @ basis.T
     rho = (rho + rho.T) / 2.0
 
     def constraint_violations(candidate: np.ndarray) -> tuple[tuple[str, float, float], ...]:
-        bad = []
-        for atom in diagram.atoms:
-            v = realization.vectors[atom]
-            achieved = float(v @ candidate @ v)
-            if abs(achieved - assignment.values[atom]) > FEASIBILITY_TOL:
-                bad.append((atom, assignment.values[atom], achieved))
-        trace = float(np.trace(candidate))
-        if abs(trace - 1.0) > FEASIBILITY_TOL:
-            bad.append(("trace", 1.0, trace))
-        return tuple(bad)
+        achieved = np.einsum("ki,ij,kj->k", vectors, candidate, vectors)
+        checks = zip((*diagram.atoms, "trace"), (*probs, 1.0), (*achieved, np.trace(candidate)))
+        return tuple((s, float(t), float(a)) for s, t, a in checks if abs(a - t) > FEASIBILITY_TOL)
 
     violations = constraint_violations(rho)
     if violations:
@@ -454,7 +440,7 @@ def quantum_feasibility(
             realizable=False,
             certificate=InfeasibilityCertificate("residual", violations=violations),
         )
-    spectrum = eigh(SymMatrix(rho))
+    spectrum = SymMatrix(rho).spectrum
     min_eigenvalue = float(spectrum.eigenvalues[-1])
     if min_eigenvalue < -FEASIBILITY_TOL:
         return QuantumFeasibility(

@@ -3,14 +3,16 @@
 Everything here is float64 and sized for desk-scale problems (dimensions up
 to a few dozen). Eigendecomposition, rank, least squares and
 orthonormalization delegate to LAPACK through numpy, and so does LP
-feasibility, decided by non-negative least squares. The shared ``dim n``
-matrix text format used by the command line lives here as well.
+feasibility, decided by non-negative least squares; ``SymMatrix.spectrum``
+is the one place a matrix is diagonalized. The shared ``dim n`` matrix text
+format used by the command line lives here as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +41,8 @@ class SymMatrix:
     Construction symmetrizes through (a + a^T)/2 but rejects inputs whose
     asymmetry exceeds 1e-12, so caller bugs surface instead of being
     averaged away. Non-finite entries are rejected too: LAPACK turns them
-    into NaN eigenvalues, which pass every ``<`` test.
+    into NaN eigenvalues, which pass every ``<`` test. The entries are
+    read-only, so ``spectrum`` is computed on first use and kept.
     """
 
     entries: np.ndarray
@@ -65,6 +68,10 @@ class SymMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries))
+
+    @cached_property
+    def spectrum(self) -> "EigenDecomposition":
+        return eigh(self)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
@@ -210,12 +217,14 @@ def quad_coeff_row(x) -> np.ndarray:
 
     Unknown order: the n diagonal entries, then the off-diagonal entries
     (i, j) with i < j in lexicographic order. The row satisfies
-    row @ packed(A) == x^T A x for symmetric A.
+    row @ packed(A) == x^T A x for symmetric A. A k x n stack of points
+    gives the k x n(n+1)/2 stack of their rows.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    i, j = _packed_index(x.shape[0])
-    row = x[i] * x[j]
-    row[x.shape[0] :] *= 2.0
+    x = np.asarray(x, dtype=float)
+    i, j = _packed_index(x.shape[-1])
+    # C order, as for rows stacked one by one, so that products round alike.
+    row = np.multiply(x[..., i], x[..., j], order="C")
+    row[..., x.shape[-1] :] *= 2.0
     return row
 
 

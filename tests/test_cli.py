@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gleason
+from gleason import cli, density, frame, greechie, numerics
 from gleason.cli import (
     EXIT_BAD_PROBES,
     EXIT_DEMO_FAIL,
@@ -39,6 +40,21 @@ def structured(capsys, *argv):
 
 def verdicts(payload):
     return {entry["name"]: entry["value"] for entry in payload["verdicts"]}
+
+
+def count_calls(monkeypatch, module, name):
+    """Arguments of every call to module.<name>, through each module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for bound in (numerics, density, frame, greechie, cli):
+        if vars(bound).get(name) is original:
+            monkeypatch.setattr(bound, name, counting)
+    return calls
 
 
 class TestDensityToFrame:
@@ -172,6 +188,15 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", str(table))
         assert code == EXIT_BAD_PROBES
         assert "inconsistent" in err
+
+
+class TestOneSpectrumPerMatrix:
+    @pytest.mark.parametrize("command", ["reconstruct", "frame-to-density"])
+    def test_reconstruct_diagonalizes_once(self, capsys, monkeypatch, command):
+        calls = count_calls(monkeypatch, numerics, "eigh")
+        code, _, _ = run(capsys, command, str(FIXTURES / "sevenths.mat"))
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestSignatureCommand:
@@ -361,12 +386,14 @@ class TestNonUtf8Input:
         ids=" ".join,
     )
     def test_is_parse_error(self, capsys, tmp_path, argv):
-        f = tmp_path / "binary"
-        f.write_bytes(b"dim 2\n1 0\n0 \xff\n")
-        code, out, err = run(capsys, *argv, str(f))
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert "utf-8" in err
+        for newline in (b"\n", b"\r\n", b"\r"):
+            f = tmp_path / "binary"
+            f.write_bytes(newline.join([b"dim 2", b"1 0", b"0 \xff", b""]))
+            code, out, err = run(capsys, *argv, str(f))
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert "utf-8" in err
+            assert f"{f}: line 3:" in err
 
 
 class TestParserReuse:
@@ -444,19 +471,35 @@ class TestDemo:
         for name, _ in DEMO_CASES:
             assert name in out
 
+    def test_parses_each_fixture_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, greechie, "parse_greechie_text")
+        code, _, _ = run(capsys, "demo-paper")
+        assert code == EXIT_OK
+        pentagon = (FIXTURES / "pentagon.greechie").read_text()
+        assert [text for text, in calls].count(pentagon) == 1
+
     def test_perturbed_fixture_fails_named_case(self, capsys, tmp_path):
-        target = tmp_path / "fixtures"
-        shutil.copytree(FIXTURES, target)
-        pentagon = target / "pentagon.greechie"
-        pentagon.write_text(
-            pentagon.read_text().replace(
-                "vec b0 0.5558929702514211", "vec b0 0.6558929702514211"
-            )
-        )
-        code, out, _ = run(capsys, "demo-paper", "--fixtures", str(target))
-        assert code == EXIT_DEMO_FAIL
-        assert "pentagon-embedding: FAIL" in out
-        assert "pure-state-frame-function: PASS" in out
+        # A bad vector fails the cases that read the realization; a file that
+        # does not parse fails every case that loads it, and only those.
+        pentagon_cases = {name for name, _ in DEMO_CASES if name.startswith("pentagon-")}
+        for old, new, failing in (
+            (
+                "vec b0 0.5558929702514211",
+                "vec b0 0.6558929702514211",
+                {"pentagon-embedding", "pentagon-quantum-infeasibility"},
+            ),
+            ("block a0 b0 a1", "block a0 b0 zz", pentagon_cases),
+        ):
+            target = tmp_path / new.split()[0]
+            shutil.copytree(FIXTURES, target)
+            pentagon = target / "pentagon.greechie"
+            text = pentagon.read_text()
+            assert old in text
+            pentagon.write_text(text.replace(old, new))
+            code, out, _ = run(capsys, "demo-paper", "--fixtures", str(target))
+            assert code == EXIT_DEMO_FAIL
+            for name, _ in DEMO_CASES:
+                assert f"{name}: {'FAIL' if name in failing else 'PASS'}" in out
 
 
 class TestHarness:

@@ -188,6 +188,11 @@ class TestProjector:
         assert e.rank_hint == 2
         assert np.max(np.abs(e.matrix.entries - np.diag([1.0, 1.0, 0.0]))) <= 1e-12
 
+    def test_rank_hint_is_derived(self):
+        with pytest.raises(TypeError):
+            Projector(SymMatrix(np.diag([1.0, 0.0])), rank_hint=5)
+        assert Projector(SymMatrix(np.diag([1.0, 0.0]))).rank_hint == 1
+
 
 class TestPurity:
     def test_pure_state(self):

@@ -20,7 +20,13 @@ from gleason.frame import (
     reconstruct_from_samples,
     signature,
 )
-from gleason.numerics import DimensionMismatch, SymMatrix, eigh
+from gleason.numerics import (
+    DimensionMismatch,
+    SymMatrix,
+    eigh,
+    quad_coeff_row,
+    solve_least_squares,
+)
 from support import (
     random_density,
     random_orthonormal,
@@ -147,8 +153,9 @@ class TestReconstruct:
                 assert np.max(np.abs(again.matrix.entries - rho.matrix.entries)) <= 1e-10
 
     def test_rejects_non_quadratic_oracle(self):
-        with pytest.raises(NotAFrameFunction):
-            reconstruct_density(FrameOracle(lambda x: float(x[0] ** 4), dim=3))
+        for reconstruct in (reconstruct_density, reconstruct_form):
+            with pytest.raises(NotAFrameFunction):
+                reconstruct(FrameOracle(lambda x: float(x[0] ** 4), dim=3))
 
     def test_flags_wrong_weight(self):
         with pytest.raises(NotQuantum) as info:
@@ -163,8 +170,9 @@ class TestReconstruct:
         assert info.value.min_eigenvalue < -1e-6
 
     def test_requires_dimension_two_or_more(self):
-        with pytest.raises(DimensionMismatch):
-            reconstruct_density(FrameOracle(lambda x: x[0] ** 2, dim=1))
+        for reconstruct in (reconstruct_density, reconstruct_form):
+            with pytest.raises(DimensionMismatch):
+                reconstruct(FrameOracle(lambda x: x[0] ** 2, dim=1))
 
     def test_reconstruct_form_without_checks(self):
         form = reconstruct_form(FrameOracle(lambda x: 2.0 * x[0] ** 2, dim=2))
@@ -181,6 +189,9 @@ class TestReconstructFromSamples:
         assert fitted.residual <= 1e-10
         assert not fitted.rank_deficient
         assert np.max(np.abs(fitted.frame_function.form.entries - a.entries)) <= 1e-9
+        # Same rows as built one probe at a time, so the same bits.
+        by_row = solve_least_squares(np.array([quad_coeff_row(x) for x in probes]), values)
+        assert fitted.residual == by_row.residual
 
     def test_inconsistent_probes_have_large_residual(self):
         probes = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]

@@ -335,6 +335,10 @@ class TestQuantumFeasibility:
         assert verdict.certificate.kind == "residual"
         subjects = {s for s, _, _ in verdict.certificate.violations}
         assert "x2-" in subjects
+        # x1+ = 0 forces rho = e1 e1^T, which gives 1/2 on both x2 atoms.
+        for subject, target, achieved in verdict.certificate.violations:
+            assert target == measure.values[subject]
+            assert abs(achieved - 0.5) <= 1e-12
 
     def test_psd_certificate_for_cloned_near_certainty(self):
         diagram, realization = builtin_spin_half_family(2, [0.0, math.pi / 4])

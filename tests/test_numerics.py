@@ -328,6 +328,8 @@ class TestPackedQuadratic:
             for _ in range(5):
                 x = rng.standard_normal(n)
                 assert abs(quad_coeff_row(x) @ packed - x @ a.entries @ x) <= 1e-10
+            stack = rng.standard_normal((4, n))
+            assert np.array_equal(quad_coeff_row(stack), [quad_coeff_row(x) for x in stack])
 
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(10)
