@@ -155,10 +155,11 @@ def _polynomial(form: np.ndarray) -> str:
 def _read_text(path: Path) -> str:
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.object is the data after any byte-order mark, which exc.start indexes.
         # Count lines as content_lines does; "x" stands in for the bad byte's line.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise MatrixFormatError(f"{path}: line {line}: not utf-8 text ({exc.reason})") from None
 
 

@@ -88,10 +88,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.dim
 
-    @classmethod
-    def from_entries(cls, entries) -> "DensityOperator":
-        return cls(SymMatrix(entries))
-
 
 @dataclass(frozen=True, eq=False)
 class Projector:

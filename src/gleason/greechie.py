@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +59,7 @@ class InvalidState(ValueError):
 
 
 class InvalidRealization(ValueError):
-    """Vector realization violates unit-norm or orthogonality conditions."""
+    """Vector realization has a zero or non-finite vector, or violates orthogonality."""
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,14 @@ class TwoValuedState:
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Finite, nonzero vectors per atom (ray representatives, normalized on construction)."""
+    """Finite, nonzero ray representatives per atom as read-only unit vectors; dim is derived."""
 
-    vectors: dict[str, np.ndarray]
-    dim: int = 0
+    vectors: Mapping[str, np.ndarray]
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         normalized: dict[str, np.ndarray] = {}
-        dim = self.dim
+        dim = 0
         for atom, vec in self.vectors.items():
             v = np.asarray(vec, dtype=float).reshape(-1)
             if not np.all(np.isfinite(v)):
@@ -133,13 +135,15 @@ class VectorRealization:
                 raise DimensionMismatch(
                     f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
                 )
-            norm = float(np.linalg.norm(v))
-            if norm <= 0.0:
+            scale = float(np.abs(v).max(initial=0.0))
+            if scale == 0.0:
                 raise InvalidRealization(f"vector for {atom!r} is zero")
-            v = v / norm
+            if not 1e-150 < scale < 1e150:  # else v @ v overflows or underflows
+                v = v / scale
+            v = v / float(np.linalg.norm(v))
             v.flags.writeable = False
             normalized[str(atom)] = v
-        object.__setattr__(self, "vectors", normalized)
+        object.__setattr__(self, "vectors", MappingProxyType(normalized))
         object.__setattr__(self, "dim", dim)
 
 
@@ -195,49 +199,51 @@ def validate_state(
     return violations
 
 
-def _require_valid_state(diagram: GreechieDiagram, assignment: ProbabilityAssignment) -> None:
-    violations = validate_state(diagram, assignment)
+def _require(violations: list[Violation], error: type[ValueError]) -> None:
     if violations:
-        raise InvalidState(
-            "; ".join(f"{v.kind} at {v.subject}: {v.detail}" for v in violations)
-        )
+        raise error("; ".join(f"{v.kind} at {v.subject}: {v.detail}" for v in violations))
+
+
+def _two_valued_rows(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
+    """All {0,1} states as value rows over ``diagram.atoms``, in lexicographic order.
+
+    Backtracks block by block over one row of -1 (unassigned), 0 and 1; choosing a
+    block's 1-atom sets its other unassigned atoms to 0, which propagates through
+    shared atoms. Every atom lies in some block, so no finished row keeps a -1.
+    """
+    position = {atom: i for i, atom in enumerate(diagram.atoms)}
+    blocks = [[position[a] for a in block] for block in diagram.blocks]
+    row = [-1] * len(diagram.atoms)
+    found: list[tuple[int, ...]] = []
+
+    def walk(index: int) -> None:
+        if index == len(blocks):
+            found.append(tuple(row))
+            return
+        block = blocks[index]
+        ones = [i for i in block if row[i] == 1]
+        if len(ones) > 1:
+            return
+        free = [i for i in block if row[i] == -1]
+        for choice in ones or free:
+            for i in free:
+                row[i] = int(i == choice)
+            walk(index + 1)
+            for i in free:
+                row[i] = -1
+
+    walk(0)
+    return sorted(found)
 
 
 def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
     """All {0,1} states, by backtracking block by block.
 
-    Choosing the 1-atom of each block propagates forced zeros through
-    shared atoms; the result is returned in lexicographic order of the
-    value tuple over the diagram's atom order. The empty list is a
-    legitimate outcome (no two-valued state exists).
+    The states come in lexicographic order of the value tuple over the
+    diagram's atom order, and each state's values follow that order. The
+    empty list is a legitimate outcome (no two-valued state exists).
     """
-    assigned: dict[str, int] = {}
-    found: list[dict[str, int]] = []
-
-    def walk(index: int) -> None:
-        if index == len(diagram.blocks):
-            found.append(dict(assigned))
-            return
-        block = diagram.blocks[index]
-        ones = [a for a in block if assigned.get(a) == 1]
-        if len(ones) > 1:
-            return
-        candidates = ones if ones else [a for a in block if a not in assigned]
-        for choice in candidates:
-            added: list[str] = []
-            for atom in block:
-                want = 1 if atom == choice else 0
-                if atom not in assigned:
-                    assigned[atom] = want
-                    added.append(atom)
-            walk(index + 1)
-            for atom in added:
-                del assigned[atom]
-
-    walk(0)
-    states = [TwoValuedState(values) for values in found]
-    states.sort(key=lambda s: s.bits(diagram.atoms))
-    return states
+    return [TwoValuedState(dict(zip(diagram.atoms, row))) for row in _two_valued_rows(diagram)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,15 +269,16 @@ def convex_decomposition(
     decided by ``lp_feasible``; None means no decomposition exists, and
     every entry's weight is above DEFAULT_TOL.
     """
-    _require_valid_state(diagram, assignment)
-    states = enumerate_two_valued_states(diagram)
-    columns = np.array([[s.values[a] for s in states] for a in diagram.atoms], dtype=float)
+    _require(validate_state(diagram, assignment), InvalidState)
+    atoms = diagram.atoms
+    states = _two_valued_rows(diagram)
+    columns = np.array(states, dtype=float).reshape(len(states), len(atoms)).T
     rows = np.vstack([columns, np.ones(len(states))])
-    rhs = np.array([assignment.values[a] for a in diagram.atoms] + [1.0])
-    weights = lp_feasible(rows, rhs)
+    weights = lp_feasible(rows, np.array([assignment.values[a] for a in atoms] + [1.0]))
     if weights is None:
         return None
-    return Decomposition(tuple((float(w), s) for w, s in zip(weights, states) if w))
+    support = [(float(w), s) for w, s in zip(weights, states) if w]
+    return Decomposition(tuple((w, TwoValuedState(dict(zip(atoms, s)))) for w, s in support))
 
 
 def is_polytope_vertex(
@@ -284,7 +291,7 @@ def is_polytope_vertex(
     True iff the active constraints (all block equalities plus the tight
     q(atom) = 0 bounds) have full rank over the atoms.
     """
-    _require_valid_state(diagram, assignment)
+    _require(validate_state(diagram, assignment), InvalidState)
     atoms = diagram.atoms
     blocks = [[float(a in block) for a in atoms] for block in diagram.blocks]
     tight = np.eye(len(atoms))[[assignment.values[a] <= tol for a in atoms]]
@@ -298,17 +305,15 @@ def check_realization(
 ) -> list[Violation]:
     """Violations of the realization conditions; empty list means valid.
 
-    Checks unit norms, pairwise orthogonality inside each block, and that
-    no block exceeds the space dimension.
+    Checks pairwise orthogonality inside each block, from one Gram matrix,
+    and that no block exceeds the space dimension. Unit norm is not checked:
+    ``VectorRealization`` keeps it from construction on.
     """
     _check_coverage(diagram, realization.vectors, "realization")
+    position = {atom: i for i, atom in enumerate(diagram.atoms)}
+    vectors = np.array([realization.vectors[a] for a in diagram.atoms])
+    gram = np.abs(vectors @ vectors.T)
     violations: list[Violation] = []
-    for atom in diagram.atoms:
-        deviation = abs(float(np.linalg.norm(realization.vectors[atom])) - 1.0)
-        if deviation > tol:
-            violations.append(
-                Violation("norm", atom, f"|v| deviates from 1 by {deviation:.3e}", deviation)
-            )
     for block in diagram.blocks:
         label = ",".join(block)
         if len(block) > realization.dim:
@@ -321,7 +326,7 @@ def check_realization(
                 )
             )
         for u, w in itertools.combinations(block, 2):
-            dot = abs(float(realization.vectors[u] @ realization.vectors[w]))
+            dot = float(gram[position[u], position[w]])
             if dot > tol:
                 violations.append(
                     Violation(
@@ -332,14 +337,6 @@ def check_realization(
                     )
                 )
     return violations
-
-
-def _require_valid_realization(diagram: GreechieDiagram, realization: VectorRealization) -> None:
-    violations = check_realization(diagram, realization)
-    if violations:
-        raise InvalidRealization(
-            "; ".join(f"{v.kind} at {v.subject}: {v.detail}" for v in violations)
-        )
 
 
 @dataclass(frozen=True)
@@ -400,8 +397,8 @@ def quantum_feasibility(
     candidate is verified against every constraint (tolerance 1e-8) and
     against positive semidefiniteness (eigenvalue floor -1e-8).
     """
-    _require_valid_realization(diagram, realization)
-    _require_valid_state(diagram, assignment)
+    _require(check_realization(diagram, realization), InvalidRealization)
+    _require(validate_state(diagram, assignment), InvalidState)
     n = realization.dim
     vectors = np.array([realization.vectors[a] for a in diagram.atoms])
     probs = np.array([assignment.values[a] for a in diagram.atoms])

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from gleason.cli import (
 )
 
 FIXTURES = _default_fixtures()
+BOM = b"\xef\xbb\xbf"
 
 
 def run(capsys, *argv):
@@ -333,6 +335,24 @@ class TestGreechieCommands:
         assert code == EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-160"])
+    def test_check_extreme_scale_vectors(self, capsys, tmp_path, scale):
+        # Unit norm is kept at construction even where v @ v leaves the float range.
+        f = tmp_path / "scaled.greechie"
+        f.write_text(
+            f"atom a\natom b\natom c\nblock a b\nblock b c\n"
+            f"vec a {scale} 0\nvec b 0 {scale}\nvec c {scale} {scale}\n"
+        )
+        code, payload, err = structured(capsys, "greechie", "check", str(f))
+        assert code == EXIT_VALIDATION
+        assert err == ""
+        values = verdicts(payload)
+        assert values["valid"] is False
+        assert [(v["kind"], v["subject"]) for v in values["violations"]] == [
+            ("orthogonality", "b,c")
+        ]
+
+
 class TestNonFiniteInput:
     """nan and infinities are format errors (exit 2), never silent verdicts."""
 
@@ -386,14 +406,43 @@ class TestNonUtf8Input:
         ids=" ".join,
     )
     def test_is_parse_error(self, capsys, tmp_path, argv):
-        for newline in (b"\n", b"\r\n", b"\r"):
+        for bom, newline in itertools.product((b"", BOM), (b"\n", b"\r\n", b"\r")):
             f = tmp_path / "binary"
-            f.write_bytes(newline.join([b"dim 2", b"1 0", b"0 \xff", b""]))
+            f.write_bytes(bom + newline.join([b"dim 2", b"1 0", b"0 \xff", b""]))
             code, out, err = run(capsys, *argv, str(f))
             assert code == EXIT_PARSE
             assert out == ""
             assert "utf-8" in err
             assert f"{f}: line 3:" in err
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark reads like the plain file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signature", "sevenths.mat"],
+            ["reconstruct", "sevenths.mat"],
+            ["density-to-frame", "sevenths.mat"],
+            ["greechie", "check", "pentagon.greechie"],
+            ["greechie", "two-valued", "pentagon.greechie"],
+            ["greechie", "decompose", "pentagon.greechie"],
+            ["greechie", "feasibility", "pentagon.greechie"],
+            ["reconstruct", "probes.txt"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_output_as_plain_file(self, capsys, tmp_path, argv):
+        *command, name = argv
+        fixture = FIXTURES / name
+        plain = fixture.read_bytes() if fixture.exists() else b"1 0 0.75\n0 1 0.25\n1 1 1\n"
+        f = tmp_path / name
+        for fmt in ("text", "structured"):
+            f.write_bytes(plain)
+            want = run(capsys, *command, str(f), "--format", fmt)
+            f.write_bytes(BOM + plain)
+            assert run(capsys, *command, str(f), "--format", fmt) == want
 
 
 class TestParserReuse:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gleason import greechie
 from gleason.greechie import (
     DuplicateDirection,
     GreechieDiagram,
@@ -29,6 +30,13 @@ from support import brute_force_two_valued, highs_lp_feasible, random_diagram
 TRIANGLE = GreechieDiagram(
     atoms=("x", "y", "z"), blocks=(("x", "y"), ("y", "z"), ("z", "x"))
 )
+
+
+def ngon(n):
+    """Blocks {a_i, b_i, a_(i+1 mod n)}: the Wright pentagon's shape on n vertices."""
+    atoms = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n))
+    blocks = tuple((f"a{i}", f"b{i}", f"a{(i + 1) % n}") for i in range(n))
+    return GreechieDiagram(atoms, blocks)
 
 
 def classical_measure(diagram):
@@ -138,8 +146,13 @@ class TestTwoValuedEnumeration:
             ),
             builtin_wright_pentagon()[0],
             builtin_spin_half_family(3, [0.0, 0.5, 1.0])[0],
+            ngon(7),
+            *(random_diagram(np.random.default_rng(seed)) for seed in range(20)),
         ],
-        ids=["triangle", "one-block", "chained", "pentagon", "disjoint"],
+        ids=[
+            "triangle", "one-block", "chained", "pentagon", "disjoint", "7-gon",
+            *(f"random-{seed}" for seed in range(20)),
+        ],
     )
     def test_agrees_with_exhaustive_enumeration(self, diagram):
         states = enumerate_two_valued_states(diagram)
@@ -178,6 +191,20 @@ class TestConvexDecomposition:
         assert abs(sum(w for w, _ in result.entries) - 1.0) <= 1e-9
         rebuilt = result.reconstructed(diagram.atoms)
         assert max(abs(rebuilt[a] - 0.5) for a in diagram.atoms) <= 1e-9
+
+    def test_builds_state_objects_only_for_the_support(self, monkeypatch):
+        # 2^10 two-valued states; the weights that reach the result are few.
+        built = []
+
+        def counting(values):
+            built.append(values)
+            return TwoValuedState(values)
+
+        diagram, _ = builtin_spin_half_family(10, [i * math.pi / 20 for i in range(10)])
+        monkeypatch.setattr(greechie, "TwoValuedState", counting)
+        result = convex_decomposition(diagram, uniform_measure(diagram))
+        assert result is not None
+        assert len(built) == len(result.entries) < 2**10
 
     def test_agrees_with_highs_on_random_diagrams(self):
         # Measures mix 1/|block| on every atom with a random mixture of
@@ -242,10 +269,10 @@ class TestPolytopeVertex:
         # the tight b-bounds and block sums pin the measure down exactly
         # when n is odd (the pentagon's case); for even n it is the midpoint
         # of the two alternating two-valued states.
-        atoms = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n))
-        blocks = tuple((f"a{i}", f"b{i}", f"a{(i + 1) % n}") for i in range(n))
-        diagram = GreechieDiagram(atoms, blocks)
-        measure = ProbabilityAssignment({a: 0.5 if a[0] == "a" else 0.0 for a in atoms})
+        diagram = ngon(n)
+        measure = ProbabilityAssignment(
+            {a: 0.5 if a[0] == "a" else 0.0 for a in diagram.atoms}
+        )
         odd = n % 2 == 1
         assert is_polytope_vertex(diagram, measure) == odd
         assert (convex_decomposition(diagram, measure) is None) == odd
@@ -289,6 +316,29 @@ class TestCheckRealization:
     def test_degenerate_vector_is_rejected(self, bad):
         with pytest.raises(InvalidRealization):
             VectorRealization({"a": bad, "b": [0.0, 1.0]})
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 5e-324, 1e308])
+    def test_extreme_scales_normalize_to_unit_vectors(self, scale):
+        # v @ v overflows (1e200, 1e308) or underflows (1e-160, 5e-324) here.
+        realization = VectorRealization(
+            {"a": [scale, 0.0], "b": [0.0, scale], "c": [0.6 * scale, 0.8 * scale]}
+        )
+        assert realization.vectors["a"].tolist() == [1.0, 0.0]
+        assert realization.vectors["b"].tolist() == [0.0, 1.0]
+        if scale > 1e-300:  # 0.6 * 5e-324 and 0.8 * 5e-324 both round to 5e-324
+            assert np.allclose(realization.vectors["c"], [0.6, 0.8], rtol=0, atol=1e-15)
+        for v in realization.vectors.values():
+            assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-15
+        diagram = GreechieDiagram(("a", "b", "c"), (("a", "b"), ("b", "c")))
+        violations = check_realization(diagram, realization)
+        assert [(v.kind, v.subject) for v in violations] == [("orthogonality", "b,c")]
+
+    def test_vectors_cannot_be_replaced(self):
+        realization = VectorRealization({"a": [3.0, 0.0], "b": [0.0, 1.0]})
+        with pytest.raises(TypeError):
+            realization.vectors["a"] = np.array([2.0, 0.0])
+        assert realization.vectors["a"].tolist() == [1.0, 0.0]
+        assert realization.dim == 2
 
     def test_missing_vector_raises(self):
         diagram, _ = builtin_spin_half_family(1, [0.0])
