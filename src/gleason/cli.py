@@ -1,9 +1,10 @@
 """Command-line front end.
 
-The argument parser is built once per process, on the first ``main`` call,
-and reused by every later call. Reports are built once and rendered either as
-human-readable text (6 significant digits) or as JSON whose numbers
-round-trip at full precision. Exit codes are a stable contract:
+``build_parser`` builds the argument parser once per process, on its first
+call, and returns that same parser to every later call, ``main``'s included.
+Reports are built once and rendered either as human-readable text (6
+significant digits) or as JSON whose numbers round-trip at full precision.
+Exit codes are a stable contract:
 
   0  success
   1  demo mismatch
@@ -33,6 +34,7 @@ from .numerics import (
     SymMatrix,
     content_lines,
     finite_float,
+    packed_index,
     parse_matrix_text,
 )
 
@@ -42,8 +44,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BAD_PROBES = 4
 EXIT_INFEASIBLE = 5
-
-_PROBE_RESIDUAL_LIMIT = 1e-7
 
 
 @dataclass
@@ -59,14 +59,8 @@ class Report:
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()  # native Python values all the way down
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -93,28 +87,18 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-def _is_matrix(value) -> bool:
-    return (
-        isinstance(value, (list, np.ndarray))
-        and len(value) > 0
-        and all(isinstance(row, (list, np.ndarray)) for row in value)
-    )
-
-
 def render_text(report: Report) -> str:
     lines = [f"# {report.command}"]
     for key, value in report.inputs.items():
         lines.append(f"input {key}: {_fmt_scalar(value)}")
     for name, value in report.verdicts:
         value = _jsonable(value)
-        if _is_matrix(value):
+        if isinstance(value, list):
             lines.append(f"{name}:")
-            for row in value:
-                lines.append("  " + " ".join(_fmt_scalar(v) for v in row))
-        elif isinstance(value, list):
-            lines.append(f"{name}:")
-            for item in value:
-                if isinstance(item, dict):
+            for item in value:  # a matrix row, a record, or a scalar
+                if isinstance(item, list):
+                    lines.append("  " + " ".join(_fmt_scalar(v) for v in item))
+                elif isinstance(item, dict):
                     lines.append(
                         "  - " + "  ".join(f"{k}={_fmt_scalar(v)}" for k, v in item.items())
                     )
@@ -130,26 +114,21 @@ def render_text(report: Report) -> str:
 
 
 def _polynomial(form: np.ndarray) -> str:
-    """Human-readable expansion of x^T A x in variables x1..xn."""
+    """Human-readable expansion of x^T A x in variables x1..xn, in packed order."""
     n = form.shape[0]
-    terms: list[tuple[float, str]] = []
-    for i in range(n):
-        if abs(form[i, i]) > 1e-12:
-            terms.append((float(form[i, i]), f"x{i + 1}^2"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeff = 2.0 * float(form[i, j])
-            if abs(coeff) > 1e-12:
-                terms.append((coeff, f"x{i + 1} x{j + 1}"))
-    if not terms:
-        return "0"
-    pieces = []
-    for k, (coeff, monomial) in enumerate(terms):
+    rows, cols = packed_index(n)
+    coeffs = form[rows, cols]
+    coeffs[n:] *= 2.0
+    pieces: list[str] = []
+    for i, j, coeff in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
+        if abs(coeff) <= 1e-12:
+            continue
+        monomial = f"x{i + 1}^2" if i == j else f"x{i + 1} x{j + 1}"
         magnitude = abs(coeff)
         shown = "" if abs(magnitude - 1.0) <= 1e-12 else format(magnitude, ".6g") + " "
-        sign = ("-" if coeff < 0 else "") if k == 0 else (" - " if coeff < 0 else " + ")
+        sign = (" - " if coeff < 0 else " + ") if pieces else ("-" if coeff < 0 else "")
         pieces.append(f"{sign}{shown}{monomial}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 def _read_text(path: Path) -> str:
@@ -218,6 +197,9 @@ def _parse_probe_table(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise MatrixFormatError(
                 f"probe line {lineno}: need at least one coordinate and a value"
             )
+        peak = max(abs(c) for c in numbers[:-1])
+        if not math.isfinite(2.0 * peak * peak):  # the fit's row entries 2 x_i x_j
+            raise MatrixFormatError(f"probe line {lineno}: coordinate {peak:g} is too large")
         rows.append(numbers)
     if not rows:
         raise MatrixFormatError("empty probe table")
@@ -243,7 +225,7 @@ def _cmd_reconstruct(args) -> tuple[Report, int]:
         fitted = frame.reconstruct_from_samples(probes, values)
         report.add("residual", fitted.residual)
         report.add("rank_deficient", fitted.rank_deficient)
-        if fitted.residual > _PROBE_RESIDUAL_LIMIT:
+        if fitted.residual > frame.consistency_limit(values):
             raise frame.NotAFrameFunction(
                 f"probe table is inconsistent with any quadratic form "
                 f"(residual {fitted.residual:.3e})"
@@ -262,12 +244,6 @@ def _cmd_signature(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _violation_payload(violations) -> list[dict]:
-    return [
-        {"kind": v.kind, "subject": v.subject, "detail": v.detail} for v in violations
-    ]
-
-
 def _cmd_greechie(args) -> tuple[Report, int]:
     report = Report(f"greechie {args.subcommand}", {"path": str(args.path)})
     parsed = _load_greechie(args.path)
@@ -282,7 +258,10 @@ def _cmd_greechie(args) -> tuple[Report, int]:
         if parsed.assignment is not None:
             violations += greechie.validate_state(diagram, parsed.assignment, args.tol)
         report.add("valid", not violations)
-        report.add("violations", _violation_payload(violations))
+        report.add(
+            "violations",
+            [{"kind": v.kind, "subject": v.subject, "detail": v.detail} for v in violations],
+        )
         return report, EXIT_OK if not violations else EXIT_VALIDATION
 
     if args.subcommand == "two-valued":
@@ -553,7 +532,12 @@ def _positive_tol(token: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    ``parse_args`` leaves the parser as it was, so one serves every ``main`` call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -579,30 +563,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "density-to-frame",
-        parents=[common],
-        help="frame function of a density operator given in matrix format",
-    )
-    p.add_argument("path", type=Path)
-    p.set_defaults(handler=_cmd_density_to_frame)
-
-    for alias in ("reconstruct", "frame-to-density"):
-        p = sub.add_parser(
-            alias,
-            parents=[common],
-            help="recover the density operator behind a form matrix or probe table",
-        )
+    reconstruct_help = "recover the density operator behind a form matrix or probe table"
+    for name, summary, handler in (
+        (
+            "density-to-frame",
+            "frame function of a density operator given in matrix format",
+            _cmd_density_to_frame,
+        ),
+        ("reconstruct", reconstruct_help, _cmd_reconstruct),
+        ("frame-to-density", reconstruct_help, _cmd_reconstruct),
+        ("signature", "inertia signature and canonical type of a form matrix", _cmd_signature),
+    ):
+        p = sub.add_parser(name, parents=[common], help=summary)
         p.add_argument("path", type=Path)
-        p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser(
-        "signature",
-        parents=[common],
-        help="inertia signature and canonical type of a form matrix",
-    )
-    p.add_argument("path", type=Path)
-    p.set_defaults(handler=_cmd_signature)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "greechie",
@@ -624,14 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser as it was, so one serves every call.
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
     except (MatrixFormatError, greechie.GreechieFormatError, OSError) as exc:

@@ -10,7 +10,9 @@ Reconstruction of A from a black-box evaluator uses the polarization
 identity, which solves the defining linear system in closed form with the
 minimal probe set: n basis vectors plus the n(n-1)/2 mixed probes
 (e_i + e_j)/sqrt(2), checked on ten seeded probes. Least squares handles
-noisy or overdetermined probe tables instead.
+noisy or overdetermined probe tables instead. Both judge consistency with a
+quadratic form by one limit, :func:`consistency_limit`, relative to the
+largest value given, so a form is judged alike at every scale.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .numerics import (
 )
 
 _ORACLE_PROBE_COUNT = 10
-_ORACLE_PROBE_TOL = 1e-7
 _ORACLE_PROBE_SEED = 0x5EED
+# Loose enough for float-backed evaluators.
+_CONSISTENCY_TOL = 1e-7
 
 
 class NotUnit(ValueError):
@@ -112,31 +115,47 @@ def from_density(rho: DensityOperator) -> FrameFunction:
     return FrameFunction(rho.matrix)
 
 
+def consistency_limit(values) -> float:
+    """Largest deviation from a quadratic form consistent with ``values``.
+
+    1e-7 * max(1, max |values|): absolute for values in [-1, 1], relative
+    beyond, as ``lp_feasible`` scales its residual.
+    """
+    return _CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+
+
 def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
     """Coefficient matrix from oracle values, by the polarization identity.
 
     A_ii = f(e_i) and A_ij = f((e_i + e_j)/sqrt 2) - (f(e_i) + f(e_j))/2.
-    Ten seeded random unit probes then check the oracle against this form
-    to 1e-7 (loose enough for float-backed evaluators), raising
-    NotAFrameFunction on a deviation. The dimension must be at least 2.
+    Ten seeded random unit probes then check the oracle against this form,
+    raising NotAFrameFunction on a deviation above :func:`consistency_limit`
+    of every value the oracle gave. The dimension must be at least 2.
     """
     n = oracle.dim
     if n < 2:
         raise DimensionMismatch("oracle dimension must be at least 2")
     basis = np.eye(n)
     diag = [float(oracle.evaluator(basis[i])) for i in range(n)]
+    values = list(diag)
     a = np.diag(diag)
     for i in range(n - 1):
         for j in range(i + 1, n):
-            mixed = (basis[i] + basis[j]) / math.sqrt(2.0)
-            a[i, j] = a[j, i] = float(oracle.evaluator(mixed)) - (diag[i] + diag[j]) / 2.0
+            mixed = float(oracle.evaluator((basis[i] + basis[j]) / math.sqrt(2.0)))
+            a[i, j] = a[j, i] = mixed - (diag[i] + diag[j]) / 2.0
+            values.append(mixed)
     form = SymMatrix(a)
     rng = np.random.default_rng(_ORACLE_PROBE_SEED)
+    deviations = []
     for _ in range(_ORACLE_PROBE_COUNT):
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        deviation = abs(float(oracle.evaluator(x)) - float(x @ form.entries @ x))
-        if deviation > _ORACLE_PROBE_TOL:
+        value = float(oracle.evaluator(x))
+        values.append(value)
+        deviations.append(abs(value - float(x @ form.entries @ x)))
+    limit = consistency_limit(values)
+    for deviation in deviations:
+        if deviation > limit:
             raise NotAFrameFunction(
                 "oracle deviates from the reconstructed quadratic form "
                 f"by {deviation:.3e} at a probe point"
@@ -177,8 +196,8 @@ def reconstruct_from_samples(probes, values) -> SampledReconstruction:
 
     Solves min ||f(x_k) - v_k|| over symmetric coefficient matrices; the
     minimum-norm solution is returned when the probe set does not pin the
-    form down. Use the residual to judge whether the samples are consistent
-    with any quadratic form at all.
+    form down. The samples are consistent with some quadratic form when the
+    residual is at most ``consistency_limit(values)``.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     values = np.asarray(values, dtype=float).reshape(-1)

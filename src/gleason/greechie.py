@@ -29,6 +29,7 @@ from .numerics import (
     content_lines,
     finite_float,
     lp_feasible,
+    packed_index,
     quad_coeff_row,
     rank,
     solve_least_squares,
@@ -419,7 +420,7 @@ def quantum_feasibility(
         basis = np.eye(n)
     m = basis.shape[1]
 
-    trace_row = np.concatenate([np.ones(m), np.zeros(m * (m - 1) // 2)])
+    trace_row = np.equal(*packed_index(m))  # 1 on the packed diagonal
     rows = np.vstack([quad_coeff_row(vectors[~zero] @ basis), trace_row])
     fit = solve_least_squares(rows, np.append(probs[~zero], 1.0))
     sigma = sym_from_packed(fit.solution, m)

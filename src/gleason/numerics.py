@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -132,6 +132,7 @@ class LeastSquaresSolution:
 
 
 def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
+    """Least squares by LAPACK; ValueError on non-finite entries, which it cannot scale."""
     a = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.asarray(rhs, dtype=float).reshape(-1)
     if a.shape[0] == 0:
@@ -140,6 +141,8 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
         raise DimensionMismatch(
             f"{a.shape[0]} rows but {b.shape[0]} right-hand sides"
         )
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("least-squares system has non-finite entries")
     x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ x - b))
     return LeastSquaresSolution(x, residual, rank_deficient=int(rk) < a.shape[1])
@@ -205,11 +208,18 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (q * np.sign(np.diag(r))).T
 
 
-def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each packed entry: the diagonal, then i < j lexicographically."""
+@cache
+def packed_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each packed entry: the diagonal, then i < j lexicographically.
+
+    Kept per n and read-only: ``triu_indices`` costs more than the products it indexes.
+    """
     rows, cols = np.triu_indices(n, 1)
     diag = np.arange(n)
-    return np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    index = np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def quad_coeff_row(x) -> np.ndarray:
@@ -221,7 +231,7 @@ def quad_coeff_row(x) -> np.ndarray:
     gives the k x n(n+1)/2 stack of their rows.
     """
     x = np.asarray(x, dtype=float)
-    i, j = _packed_index(x.shape[-1])
+    i, j = packed_index(x.shape[-1])
     # C order, as for rows stacked one by one, so that products round alike.
     row = np.multiply(x[..., i], x[..., j], order="C")
     row[..., x.shape[-1] :] *= 2.0
@@ -235,7 +245,7 @@ def sym_from_packed(values, n: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {n * (n + 1) // 2} packed entries, got {values.shape[0]}"
         )
-    i, j = _packed_index(n)
+    i, j = packed_index(n)
     a = np.zeros((n, n))
     a[i, j] = a[j, i] = values
     return a

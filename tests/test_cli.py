@@ -20,8 +20,12 @@ from gleason.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     DEMO_CASES,
+    Report,
     _default_fixtures,
+    _polynomial,
     main,
+    render_structured,
+    render_text,
 )
 
 FIXTURES = _default_fixtures()
@@ -110,6 +114,90 @@ class TestDensityToFrame:
         assert code == EXIT_PARSE
 
 
+class TestRendering:
+    def test_bell_mixture_frame_function(self, capsys):
+        code, out, _ = run(capsys, "density-to-frame", str(FIXTURES / "bell_mixture.mat"))
+        assert code == EXIT_OK
+        assert (
+            "frame_function: 0.125 x1^2 + 0.375 x2^2 + 0.375 x3^2 + 0.125 x4^2"
+            " + 0.25 x1 x4 + 0.75 x2 x3\n"
+        ) in out
+
+    @pytest.mark.parametrize(
+        "form, text",
+        [
+            ([[-2.0, 0.5], [0.5, 1.0]], "-2 x1^2 + x2^2 + x1 x2"),
+            ([[0.0, -0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, -1.0]], "-x3^2 - x1 x2"),
+            ([[0.0, 0.0], [0.0, 0.0]], "0"),
+        ],
+    )
+    def test_polynomial_signs_and_unit_coefficients(self, form, text):
+        assert _polynomial(np.array(form)) == text
+
+    def test_every_value_shape(self):
+        report = Report("shapes", {"path": "p", "n": np.int64(3)})
+        for name, value in (
+            ("matrix", np.array([[1.0, 0.5], [0.0, -2.0]])),
+            ("rows", [[1, 2]]),
+            ("records", [{"weight": 0.5, "state": "10"}, {"weight": np.float64(0.25)}]),
+            ("floats", [0.25, 1.0 / 3.0]),
+            ("empty", []),
+            ("counts", {"positive": 2, "negative": np.int64(0)}),
+            ("flag", True),
+            ("np_flag", np.bool_(False)),
+            ("x", 1.0 / 3.0),
+            ("np_x", np.float64(2.5)),
+            ("k", 7),
+            ("np_k", np.int32(-7)),
+            ("none", None),
+        ):
+            report.add(name, value)
+        assert render_text(report) == (
+            "# shapes\n"
+            "input path: p\n"
+            "input n: 3\n"
+            "matrix:\n  1 0.5\n  0 -2\n"
+            "rows:\n  1 2\n"
+            "records:\n  - weight=0.5  state=10\n  - weight=0.25\n"
+            "floats:\n  - 0.25\n  - 0.333333\n"
+            "empty:\n"
+            "counts: positive=2  negative=0\n"
+            "flag: true\n"
+            "np_flag: false\n"
+            "x: 0.333333\n"
+            "np_x: 2.5\n"
+            "k: 7\n"
+            "np_k: -7\n"
+            "none: None\n"
+        )
+        payload = json.loads(render_structured(report))
+        assert payload == {
+            "command": "shapes",
+            "inputs": {"path": "p", "n": 3},
+            "verdicts": [
+                {"name": "matrix", "value": [[1.0, 0.5], [0.0, -2.0]]},
+                {"name": "rows", "value": [[1, 2]]},
+                {"name": "records", "value": [{"weight": 0.5, "state": "10"}, {"weight": 0.25}]},
+                {"name": "floats", "value": [0.25, 1.0 / 3.0]},
+                {"name": "empty", "value": []},
+                {"name": "counts", "value": {"positive": 2, "negative": 0}},
+                {"name": "flag", "value": True},
+                {"name": "np_flag", "value": False},
+                {"name": "x", "value": 1.0 / 3.0},
+                {"name": "np_x", "value": 2.5},
+                {"name": "k", "value": 7},
+                {"name": "np_k", "value": -7},
+                {"name": "none", "value": None},
+            ],
+        }
+        kinds = [type(v["value"]) for v in payload["verdicts"][6:12]]
+        assert kinds == [bool, bool, float, float, int, int]
+
+
+# 1e9-scale form whose signature is fine; its entries span ten decades.
+LARGE_FORM = np.array([[3e9, 1e9, 2.0], [1e9, 5e9, -7.0], [2.0, -7.0, 4e9]])
+
+
 class TestReconstruct:
     def test_form_matrix_full_analysis(self, capsys):
         code, payload, err = structured(capsys, "reconstruct", str(FIXTURES / "sevenths.mat"))
@@ -190,6 +278,52 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", str(table))
         assert code == EXIT_BAD_PROBES
         assert "inconsistent" in err
+
+    def test_inconsistent_probe_table_at_large_scale_exits_four(self, capsys, tmp_path):
+        table = tmp_path / "probes.txt"
+        table.write_text("1 0 0\n1 0 1e9\n")
+        code, _, err = run(capsys, "reconstruct", str(table))
+        assert code == EXIT_BAD_PROBES
+        assert "inconsistent" in err
+
+    def test_large_scale_form_matrix(self, capsys, tmp_path):
+        path = tmp_path / "large.mat"
+        path.write_text(numerics.format_matrix_text(LARGE_FORM))
+        assert run(capsys, "signature", str(path))[0] == EXIT_OK
+        code, payload, err = structured(capsys, "reconstruct", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        got = np.array(verdicts(payload)["reconstructed"])
+        assert np.max(np.abs(got - LARGE_FORM)) <= 1e-12 * np.max(np.abs(LARGE_FORM))
+
+    def test_large_scale_probe_table(self, capsys, tmp_path):
+        x = np.random.default_rng(12).standard_normal((12, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        values = np.einsum("ki,ij,kj->k", x, LARGE_FORM, x)
+        table = tmp_path / "probes.txt"
+        rows = np.column_stack([x, values]).tolist()
+        table.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+        code, payload, err = structured(capsys, "reconstruct", str(table))
+        assert (code, err) == (EXIT_OK, "")
+        got = np.array(verdicts(payload)["reconstructed"])
+        assert np.max(np.abs(got - LARGE_FORM)) <= 1e-12 * np.max(np.abs(LARGE_FORM))
+
+    @pytest.mark.parametrize("coordinate", ["1e200", "1e170", "-9.5e153"])
+    def test_huge_probe_coordinate_is_parse_error(self, tmp_path, coordinate):
+        # Such a row overflows to inf, and LAPACK has hung on it: run apart, with a timeout.
+        table = tmp_path / "probes.txt"
+        table.write_text(f"0 1 0\n{coordinate} 0.5 1\n1 1 0.5\n")
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gleason.cli", "reconstruct", str(table)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        peak = abs(float(coordinate))
+        assert proc.stderr == f"error: probe line 2: coordinate {peak:g} is too large\n"
 
 
 class TestOneSpectrumPerMatrix:

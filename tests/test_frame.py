@@ -13,6 +13,7 @@ from gleason.frame import (
     NotUnit,
     Signature,
     classify,
+    consistency_limit,
     evaluate,
     from_density,
     reconstruct_density,
@@ -156,6 +157,15 @@ class TestReconstruct:
         for reconstruct in (reconstruct_density, reconstruct_form):
             with pytest.raises(NotAFrameFunction):
                 reconstruct(FrameOracle(lambda x: float(x[0] ** 4), dim=3))
+
+    def test_rejects_non_quadratic_oracle_at_large_scale(self):
+        with pytest.raises(NotAFrameFunction):
+            reconstruct_form(FrameOracle(lambda x: 1e9 * float(x[0] ** 4), dim=3))
+
+    def test_consistency_limit_is_absolute_up_to_one(self):
+        assert consistency_limit([0.5, -1.0, 0.0]) == 1e-7
+        assert consistency_limit([]) == 1e-7
+        assert consistency_limit([2.0, -4e9]) == 1e-7 * 4e9
 
     def test_flags_wrong_weight(self):
         with pytest.raises(NotQuantum) as info:

@@ -12,6 +12,7 @@ from gleason.numerics import (
     format_matrix_text,
     lp_feasible,
     orthonormalize,
+    packed_index,
     parse_matrix_text,
     quad_coeff_row,
     rank,
@@ -184,6 +185,17 @@ class TestLeastSquares:
         assert fit.residual <= 1e-10
         assert np.max(np.abs(sym_from_packed(fit.solution, 3) - expected)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([(1.0, 0.0), (0.0, math.inf)], (1.0, 2.0)),
+            ([(1.0, 0.0), (0.0, 1.0)], (math.nan, 2.0)),
+        ],
+    )
+    def test_rejects_non_finite_input(self, rows, rhs):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_least_squares(rows, rhs)
+
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             solve_least_squares(np.zeros((0, 2)), [])
@@ -340,6 +352,14 @@ class TestPackedQuadratic:
     def test_unpack_length_check(self):
         with pytest.raises(DimensionMismatch):
             sym_from_packed([1.0, 2.0], 3)
+
+    def test_shared_index_is_read_only(self):
+        rows, cols = packed_index(3)
+        assert rows.tolist() == [0, 1, 2, 0, 0, 1]
+        assert cols.tolist() == [0, 1, 2, 1, 2, 2]
+        with pytest.raises(ValueError):
+            rows[0] = 1
+        assert packed_index(3)[0] is rows
 
 
 class TestMatrixText:
