@@ -29,14 +29,13 @@ from .numerics import (
     DimensionMismatch,
     SymMatrix,
     quad_coeff_row,
+    scaled_tol,
     solve_least_squares,
     sym_from_packed,
 )
 
 _ORACLE_PROBE_COUNT = 10
 _ORACLE_PROBE_SEED = 0x5EED
-# Loose enough for float-backed evaluators.
-_CONSISTENCY_TOL = 1e-7
 
 
 class NotUnit(ValueError):
@@ -118,10 +117,10 @@ def from_density(rho: DensityOperator) -> FrameFunction:
 def consistency_limit(values) -> float:
     """Largest deviation from a quadratic form consistent with ``values``.
 
-    1e-7 * max(1, max |values|): absolute for values in [-1, 1], relative
-    beyond, as ``lp_feasible`` scales its residual.
+    :func:`~gleason.numerics.scaled_tol` at 1e-7, loose enough for
+    float-backed evaluators.
     """
-    return _CONSISTENCY_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    return scaled_tol(1e-7, values)
 
 
 def reconstruct_form(oracle: FrameOracle) -> SymMatrix:

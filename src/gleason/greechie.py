@@ -30,8 +30,10 @@ from .numerics import (
     finite_float,
     lp_feasible,
     packed_index,
+    pow2_rescale,
     quad_coeff_row,
     rank,
+    scaled_tol,
     solve_least_squares,
     sym_from_packed,
 )
@@ -118,7 +120,7 @@ class TwoValuedState:
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Finite, nonzero ray representatives per atom as read-only unit vectors; dim is derived."""
+    """Finite, nonzero rays per atom, as read-only unit vectors after ``pow2_rescale``; dim is derived."""
 
     vectors: Mapping[str, np.ndarray]
     dim: int = field(init=False)
@@ -136,12 +138,10 @@ class VectorRealization:
                 raise DimensionMismatch(
                     f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
                 )
-            scale = float(np.abs(v).max(initial=0.0))
-            if scale == 0.0:
+            v = pow2_rescale(v)[0]
+            if not (norm := math.sqrt(v @ v)):
                 raise InvalidRealization(f"vector for {atom!r} is zero")
-            if not 1e-150 < scale < 1e150:  # else v @ v overflows or underflows
-                v = v / scale
-            v = v / float(np.linalg.norm(v))
+            v = v / norm
             v.flags.writeable = False
             normalized[str(atom)] = v
         object.__setattr__(self, "vectors", MappingProxyType(normalized))
@@ -408,8 +408,7 @@ def quantum_feasibility(
     if zero.any():
         z = vectors[zero]
         dec = SymMatrix(z.T @ z).spectrum
-        scale = max(1.0, float(dec.eigenvalues[0]))
-        kernel_rank = int(np.sum(dec.eigenvalues > DEFAULT_TOL * scale))
+        kernel_rank = int(np.sum(dec.eigenvalues > scaled_tol(DEFAULT_TOL, dec.eigenvalues)))
         if kernel_rank == n:
             return QuantumFeasibility(
                 realizable=False,

@@ -3,9 +3,10 @@
 Everything here is float64 and sized for desk-scale problems (dimensions up
 to a few dozen). Eigendecomposition, rank, least squares and
 orthonormalization delegate to LAPACK through numpy, and so does LP
-feasibility, decided by non-negative least squares; ``SymMatrix.spectrum``
-is the one place a matrix is diagonalized. The shared ``dim n`` matrix text
-format used by the command line lives here as well.
+feasibility, decided by non-negative least squares. ``SymMatrix.spectrum``
+is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
+for zero at the input's scale, and :func:`pow2_rescale` the one exact
+rescaling. The ``dim n`` matrix text format of the command line is here too.
 """
 
 from __future__ import annotations
@@ -34,11 +35,23 @@ class MatrixFormatError(ValueError):
     """Matrix text does not follow the ``dim n`` + n-rows layout."""
 
 
+def scaled_tol(tol: float, values) -> float:
+    """``tol * max(1, max |values|)``: absolute within [-1, 1], relative beyond."""
+    return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
+def pow2_rescale(v) -> tuple[np.ndarray, float]:
+    """``(v / s, s)`` for s = 2^floor(log2 max |v|): exact, and (v / s)^2 cannot overflow."""
+    v = np.asarray(v, dtype=float)
+    s = math.ldexp(1.0, math.frexp(np.abs(v).max(initial=0.0))[1] - 1)
+    return v / s, s
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense real symmetric matrix.
 
-    Construction symmetrizes through (a + a^T)/2 but rejects inputs whose
+    Construction symmetrizes through a/2 + a^T/2 but rejects inputs whose
     asymmetry exceeds 1e-12, so caller bugs surface instead of being
     averaged away. Non-finite entries are rejected too: LAPACK turns them
     into NaN eigenvalues, which pass every ``<`` test. The entries are
@@ -58,7 +71,8 @@ class SymMatrix:
         asym = float(np.max(np.abs(a - a.T)))
         if asym > _ASYMMETRY_LIMIT:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-        a = (a + a.T) / 2.0
+        a *= 0.5  # halved first: a + a^T overflows near the float limit
+        a = a + a.T
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -72,18 +86,6 @@ class SymMatrix:
     @cached_property
     def spectrum(self) -> "EigenDecomposition":
         return eigh(self)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +146,8 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("least-squares system has non-finite entries")
     x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ x - b))
+    r, s = pow2_rescale(a @ x - b)
+    residual = math.sqrt(r @ r) * s
     return LeastSquaresSolution(x, residual, rank_deficient=int(rk) < a.shape[1])
 
 
@@ -153,15 +156,15 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
 
     Lawson-Hanson non-negative least squares (Solving Least Squares
     Problems, 1974, ch. 23), one LAPACK solve per step. Returns a witness
-    with entries exactly 0 or above tol if max |a x - b| <= tol * max(1,
-    max |b|), else None; RuntimeError if 3n steps do not settle.
+    with entries exactly 0 or above tol if max |a x - b| <= scaled_tol(tol,
+    b), else None; RuntimeError if 3n steps do not settle.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionMismatch(f"{m} equations but {b.shape[0]} right-hand sides")
-    residual_tol = tol * max(1.0, np.max(np.abs(b), initial=0.0))
+    residual_tol = scaled_tol(tol, b)
     norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
@@ -195,14 +198,13 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     Row i of the result is the unit vector Gram-Schmidt would produce from
     the first i + 1 inputs: each sign is chosen so that diag(R) > 0. Raises
     LinearlyDependent when a squared singular value of the input is at most
-    ``tol * max(1, max |v v^T|)``.
+    ``scaled_tol(tol, v v^T)``.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     k, n = v.shape
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")
-    scale = max(1.0, float(np.max(np.abs(v @ v.T))))
-    if rank(v, math.sqrt(tol * scale)) < k:
+    if rank(v, math.sqrt(scaled_tol(tol, v @ v.T))) < k:
         raise LinearlyDependent("input vectors are linearly dependent")
     q, r = np.linalg.qr(v.T)
     return (q * np.sign(np.diag(r))).T

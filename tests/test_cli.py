@@ -326,6 +326,24 @@ class TestReconstruct:
         assert proc.stderr == f"error: probe line 2: coordinate {peak:g} is too large\n"
 
 
+    def test_consistent_probe_table_near_the_float_limit(self, tmp_path):
+        # The residual's squares overflow float64: any numpy warning must fail the run.
+        table = tmp_path / "probes.txt"
+        table.write_text("1 0 1e300\n0 1 0\n1 1 0.5\n")
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gleason.cli", "reconstruct", "--format",
+             "structured", str(table)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        residual = verdicts(json.loads(proc.stdout))["residual"]
+        assert 0.0 <= residual <= 1e-14 * 1e300
+
+
 class TestOneSpectrumPerMatrix:
     @pytest.mark.parametrize("command", ["reconstruct", "frame-to-density"])
     def test_reconstruct_diagonalizes_once(self, capsys, monkeypatch, command):
@@ -343,6 +361,16 @@ class TestSignatureCommand:
         assert values["signature"] == {"positive": 3, "negative": 0, "zero": 0}
         assert values["classification"] == 3
         assert abs(values["weight"] - 1.0) <= 1e-12
+
+    def test_form_near_the_float_limit(self, capsys, tmp_path):
+        # Eigenvalues near +-1e308: symmetrizing must not overflow to inf.
+        form = tmp_path / "huge.mat"
+        form.write_text("dim 2\n1 1e308\n1e308 1\n")
+        code, payload, err = structured(capsys, "signature", str(form))
+        assert (code, err) == (EXIT_OK, "")
+        values = verdicts(payload)
+        assert values["signature"] == {"positive": 1, "negative": 1, "zero": 0}
+        assert values["classification"] is None
 
     def test_custom_tolerance_moves_the_boundary(self, capsys, tmp_path):
         form = tmp_path / "soft.mat"

@@ -87,7 +87,7 @@ class TestEvaluate:
             assert evaluate(f, x) == evaluate(f, -x)
 
     def test_rejects_non_unit(self):
-        f = FrameFunction(SymMatrix.identity(2))
+        f = FrameFunction(SymMatrix(np.eye(2)))
         with pytest.raises(NotUnit):
             evaluate(f, np.array([1.0, 1.0]))
 
@@ -227,11 +227,11 @@ class TestSignature:
         assert sig == Signature(positive=3, negative=0, zero=0)
 
     def test_zero_form(self):
-        assert signature(FrameFunction(SymMatrix.zeros(3))) == Signature(0, 0, 3)
+        assert signature(FrameFunction(SymMatrix(np.zeros((3, 3))))) == Signature(0, 0, 3)
 
     def test_boundary_values_count_as_zero(self):
         tol = 1e-9
-        f = FrameFunction(SymMatrix.diagonal([2e-9, 1e-9, -1e-9]))
+        f = FrameFunction(SymMatrix(np.diag([2e-9, 1e-9, -1e-9])))
         assert signature(f, tol) == Signature(positive=1, negative=0, zero=2)
 
     def test_requires_positive_tol(self):
@@ -275,7 +275,7 @@ class TestClassify:
 
     def test_rejects_indefinite_forms(self):
         with pytest.raises(NotPositive):
-            classify(FrameFunction(SymMatrix.diagonal([1.0, -1.0])))
+            classify(FrameFunction(SymMatrix(np.diag([1.0, -1.0]))))
 
 
 class TestFrameFunctionProperties:

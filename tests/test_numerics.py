@@ -14,6 +14,7 @@ from gleason.numerics import (
     orthonormalize,
     packed_index,
     parse_matrix_text,
+    pow2_rescale,
     quad_coeff_row,
     rank,
     solve_least_squares,
@@ -28,6 +29,16 @@ from support import (
 )
 
 SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
+
+
+class TestPow2Rescale:
+    @pytest.mark.parametrize("peak", [5e-324, 1e-160, 0.75, 1.0, 3.0, 1e200, np.finfo(float).max])
+    def test_division_is_exact(self, peak):
+        v = np.array([peak, -peak / 3.0, 0.0])
+        scaled, s = pow2_rescale(v)
+        assert math.frexp(s)[0] == 0.5 and s <= peak < 2.0 * s
+        assert np.max(np.abs(scaled)) == peak / s
+        assert np.array_equal(scaled * s, v)
 
 
 class TestSymMatrix:
@@ -49,20 +60,22 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             SymMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    def test_symmetrizes_at_the_float_limit(self):
+        # a + a^T would overflow here; the entries must stay finite.
+        big = np.finfo(float).max
+        m = SymMatrix(np.array([[1.0, big], [big, 1.0]]))
+        assert np.array_equal(m.entries, [[1.0, big], [big, 1.0]])
+        assert np.all(np.isfinite(m.spectrum.eigenvalues))
+
     def test_entries_are_immutable(self):
-        m = SymMatrix.identity(2)
+        m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
-
-    def test_constructors(self):
-        assert SymMatrix.identity(3).trace() == 3.0
-        assert SymMatrix.zeros(2).trace() == 0.0
-        assert SymMatrix.diagonal([1.0, 2.0]).entries[1, 1] == 2.0
 
 
 class TestEigh:
     def test_identity(self):
-        dec = eigh(SymMatrix.identity(3))
+        dec = eigh(SymMatrix(np.eye(3)))
         assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0], atol=0)
 
     def test_sevenths_spectrum(self):
@@ -127,10 +140,10 @@ class TestEigh:
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(SymMatrix.zeros(3), 1e-9) == 0
+        assert rank(SymMatrix(np.zeros((3, 3))), 1e-9) == 0
 
     def test_identity(self):
-        assert rank(SymMatrix.identity(4), 1e-9) == 4
+        assert rank(SymMatrix(np.eye(4)), 1e-9) == 4
 
     def test_pentagon_b_gram_has_full_spatial_rank(self):
         b = pentagon_b_vectors()
@@ -146,7 +159,7 @@ class TestRank:
     def test_requires_positive_tol(self):
         for tol in (0.0, math.nan):
             with pytest.raises(ValueError):
-                rank(SymMatrix.identity(2), tol)
+                rank(SymMatrix(np.eye(2)), tol)
 
 
 class TestLeastSquares:
@@ -196,6 +209,21 @@ class TestLeastSquares:
         with pytest.raises(ValueError, match="non-finite"):
             solve_least_squares(rows, rhs)
 
+    def test_residual_is_the_norm_at_every_scale(self):
+        # Bit for bit np.linalg.norm while its squares stay in range.
+        rng = np.random.default_rng(11)
+        for exponent in range(-150, 151, 10):
+            a = rng.standard_normal((6, 3))
+            b = rng.standard_normal(6) * 10.0**exponent
+            fit = solve_least_squares(a, b)
+            assert fit.residual == float(np.linalg.norm(a @ fit.solution - b)) > 0.0
+
+    def test_residual_stays_finite_where_squares_overflow(self):
+        # Probes (1, 0), (0, 1), (1, 1) of the form [[1e300, -5e299], [-5e299, 0]].
+        rows = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 2.0)]
+        fit = solve_least_squares(rows, (1e300, 0.0, 0.5))
+        assert fit.residual <= 1e-14 * 1e300
+
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
             solve_least_squares(np.zeros((0, 2)), [])
@@ -209,6 +237,15 @@ class TestLpFeasible:
         assert x is not None
         assert np.min(x) >= -1e-12
         assert abs(np.sum(x) - 1.0) <= 1e-9
+        # Two readings of the sum, 1e-9 apart, fit within scaled_tol(1e-9, b);
+        # 1e-8 apart they do not. At 2^20 the verdicts hold and the witness
+        # scales with b, which an absolute residual threshold would break.
+        a = [[1.0, 1.0], [1.0, 1.0]]
+        near, far = np.array([1.0, 1.0 + 1e-9]), np.array([1.0, 1.0 + 1e-8])
+        x = lp_feasible(a, near)
+        assert x is not None and abs(np.sum(x) - 1.0) <= 1e-9
+        assert np.array_equal(lp_feasible(a, 2.0**20 * near), 2.0**20 * x)
+        assert lp_feasible(a, far) is None and lp_feasible(a, 2.0**20 * far) is None
 
     def test_negative_rhs_infeasible(self):
         assert lp_feasible([[1.0]], [-1.0]) is None
@@ -316,11 +353,13 @@ class TestOrthonormalize:
 
     def test_dependency_threshold(self):
         # Squared singular values 5e-9 and 4.5e-10 sit on either side of
-        # tol * max(1, max |v v^T|) = 1e-9.
+        # scaled_tol(1e-9, v v^T) = 1e-9; scaled by 2^20, both move with it.
         q = orthonormalize([(1.0, 0.0), (1.0, 1e-4)])
         assert np.max(np.abs(q - np.eye(2))) <= 1e-12
-        with pytest.raises(LinearlyDependent):
-            orthonormalize([(1.0, 0.0), (1.0, 3e-5)])
+        assert np.array_equal(orthonormalize(2.0**20 * np.array([(1.0, 0.0), (1.0, 1e-4)])), q)
+        for scale in (1.0, 2.0**20):
+            with pytest.raises(LinearlyDependent):
+                orthonormalize(scale * np.array([(1.0, 0.0), (1.0, 3e-5)]))
 
     def test_rejects_dependent_input(self):
         with pytest.raises(LinearlyDependent):
