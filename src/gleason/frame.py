@@ -9,7 +9,9 @@ case is still representable here and classified by its inertia signature.
 Reconstruction of A from a black-box evaluator uses the polarization
 identity, which solves the defining linear system in closed form with the
 minimal probe set: n basis vectors plus the n(n-1)/2 mixed probes
-(e_i + e_j)/sqrt(2), checked on ten seeded probes. Least squares handles
+(e_i + e_j)/sqrt(2), checked on ten seeded probes. These points are built
+once per dimension, and the evaluator gets read-only rows of that plan, so
+an evaluator that writes to its argument raises. Least squares handles
 noisy or overdetermined probe tables instead. Both judge consistency with a
 quadratic form by one limit, :func:`consistency_limit`, relative to the
 largest value given, so a form is judged alike at every scale.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -28,6 +31,7 @@ from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
     SymMatrix,
+    packed_index,
     quad_coeff_row,
     scaled_tol,
     solve_least_squares,
@@ -89,7 +93,11 @@ class Signature:
 
 @dataclass(frozen=True, eq=False)
 class FrameOracle:
-    """Black-box ray function: evaluator(x) for unit x, with evaluator(x) = evaluator(-x)."""
+    """Black-box ray function: evaluator(x) for unit x, with evaluator(x) = evaluator(-x).
+
+    :func:`reconstruct_form` passes read-only rows of a probe plan kept per
+    dimension; the evaluator must not write to x.
+    """
 
     evaluator: Callable[[np.ndarray], float]
     dim: int
@@ -123,32 +131,53 @@ def consistency_limit(values) -> float:
     return scaled_tol(1e-7, values)
 
 
+@cache
+def _probe_plan(n: int) -> np.ndarray:
+    """Every point :func:`reconstruct_form` evaluates at dimension n, as read-only rows.
+
+    The n basis vectors, the mixed probes (e_i + e_j)/sqrt 2 in
+    :func:`~gleason.numerics.packed_index` order, then the ten seeded check
+    probes. Kept per n: the seeded generator alone costs more than the
+    products it feeds.
+    """
+    basis = np.eye(n)
+    i, j = packed_index(n)
+    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
+    checks = []
+    for _ in range(_ORACLE_PROBE_COUNT):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        checks.append(x)
+    plan = np.vstack([basis, (basis[i[n:]] + basis[j[n:]]) / math.sqrt(2.0), checks])
+    plan.flags.writeable = False
+    return plan
+
+
 def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
     """Coefficient matrix from oracle values, by the polarization identity.
 
     A_ii = f(e_i) and A_ij = f((e_i + e_j)/sqrt 2) - (f(e_i) + f(e_j))/2.
     Ten seeded random unit probes then check the oracle against this form,
     raising NotAFrameFunction on a deviation above :func:`consistency_limit`
-    of every value the oracle gave. The dimension must be at least 2.
+    of every value the oracle gave. The dimension must be at least 2. The
+    evaluator is called once per row of the per-n probe plan, in order, and
+    gets that read-only row.
     """
     n = oracle.dim
     if n < 2:
         raise DimensionMismatch("oracle dimension must be at least 2")
-    basis = np.eye(n)
-    diag = [float(oracle.evaluator(basis[i])) for i in range(n)]
-    values = list(diag)
-    a = np.diag(diag)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            mixed = float(oracle.evaluator((basis[i] + basis[j]) / math.sqrt(2.0)))
-            a[i, j] = a[j, i] = mixed - (diag[i] + diag[j]) / 2.0
-            values.append(mixed)
-    form = SymMatrix(a)
-    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
+    plan = _probe_plan(n)
+    first_check = len(plan) - _ORACLE_PROBE_COUNT
+    values = [float(oracle.evaluator(x)) for x in plan[:first_check]]
+    packed = np.array(values)
+    i, j = packed_index(n)
+    # Sums that overflow become inf or nan without a warning, as Python floats do;
+    # SymMatrix rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        packed[n:] -= (packed[i[n:]] + packed[j[n:]]) / 2.0
+    form = SymMatrix(sym_from_packed(packed, n))
     deviations = []
-    for _ in range(_ORACLE_PROBE_COUNT):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
+    for x in plan[first_check:]:
         value = float(oracle.evaluator(x))
         values.append(value)
         deviations.append(abs(value - float(x @ form.entries @ x)))

@@ -17,6 +17,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -67,7 +68,12 @@ class InvalidRealization(ValueError):
 
 @dataclass(frozen=True)
 class GreechieDiagram:
-    """Atoms plus blocks; every block is one complete orthogonal context."""
+    """Atoms plus blocks; every block is one complete orthogonal context.
+
+    ``incidence`` is the read-only blocks x atoms matrix, True where the
+    atom (in ``atoms`` order) lies in the block. It and the atom positions
+    behind it are built on first use and kept.
+    """
 
     atoms: tuple[str, ...]
     blocks: tuple[tuple[str, ...], ...]
@@ -91,6 +97,39 @@ class GreechieDiagram:
         for atom in self.atoms:
             if atom not in covered:
                 raise ValueError(f"atom {atom!r} appears in no block")
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        incidence = np.zeros((len(self.blocks), len(self.atoms)), dtype=bool)
+        for b, block in enumerate(self._block_positions):
+            incidence[b, block] = True
+        incidence.flags.writeable = False
+        return incidence
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {atom: i for i, atom in enumerate(self.atoms)}
+
+    @cached_property
+    def _block_positions(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self._position[a] for a in block) for block in self.blocks)
+
+    @cached_property
+    def _block_pairs(self) -> np.ndarray:
+        """Rows (first, second, block) of atom positions, one column per in-block pair.
+
+        Pairs come block by block, each in ``itertools.combinations`` order.
+        """
+        pairs = np.array(
+            [
+                (u, w, b)
+                for b, block in enumerate(self._block_positions)
+                for u, w in itertools.combinations(block, 2)
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 3).T
+        pairs.flags.writeable = False
+        return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +198,11 @@ class Violation:
 
 
 def _check_coverage(diagram: GreechieDiagram, keys, what: str) -> None:
-    declared = set(diagram.atoms)
     for atom in diagram.atoms:
         if atom not in keys:
             raise UnknownAtom(f"{what} misses atom {atom!r}")
     for atom in keys:
-        if atom not in declared:
+        if atom not in diagram._position:
             raise UnknownAtom(f"{what} names undeclared atom {atom!r}")
 
 
@@ -212,8 +250,7 @@ def _two_valued_rows(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
     block's 1-atom sets its other unassigned atoms to 0, which propagates through
     shared atoms. Every atom lies in some block, so no finished row keeps a -1.
     """
-    position = {atom: i for i, atom in enumerate(diagram.atoms)}
-    blocks = [[position[a] for a in block] for block in diagram.blocks]
+    blocks = diagram._block_positions
     row = [-1] * len(diagram.atoms)
     found: list[tuple[int, ...]] = []
 
@@ -294,9 +331,14 @@ def is_polytope_vertex(
     """
     _require(validate_state(diagram, assignment), InvalidState)
     atoms = diagram.atoms
-    blocks = [[float(a in block) for a in atoms] for block in diagram.blocks]
     tight = np.eye(len(atoms))[[assignment.values[a] <= tol for a in atoms]]
-    return rank(np.vstack([blocks, tight]), tol) == len(atoms)
+    return rank(np.vstack([diagram.incidence, tight]), tol) == len(atoms)
+
+
+def _realization_rows(diagram: GreechieDiagram, realization: VectorRealization) -> np.ndarray:
+    """The realization's vectors as rows, in ``diagram.atoms`` order."""
+    rows = [realization.vectors[a] for a in diagram.atoms]
+    return np.array(rows).reshape(len(rows), realization.dim)
 
 
 def check_realization(
@@ -311,13 +353,17 @@ def check_realization(
     ``VectorRealization`` keeps it from construction on.
     """
     _check_coverage(diagram, realization.vectors, "realization")
-    position = {atom: i for i, atom in enumerate(diagram.atoms)}
-    vectors = np.array([realization.vectors[a] for a in diagram.atoms])
-    gram = np.abs(vectors @ vectors.T)
+    vectors = _realization_rows(diagram, realization)
+    first, second, block_of = diagram._block_pairs
+    dots = np.abs(vectors @ vectors.T)[first, second]
+    # (block, -1) for an oversized block sorts before (block, pair) for its pairs.
+    failures = [(b, -1) for b, block in enumerate(diagram.blocks) if len(block) > realization.dim]
+    failures += [(int(block_of[k]), int(k)) for k in (dots > tol).nonzero()[0]]
     violations: list[Violation] = []
-    for block in diagram.blocks:
+    for b, k in sorted(failures):
+        block = diagram.blocks[b]
         label = ",".join(block)
-        if len(block) > realization.dim:
+        if k < 0:
             violations.append(
                 Violation(
                     "block-size",
@@ -326,17 +372,11 @@ def check_realization(
                     float(len(block) - realization.dim),
                 )
             )
-        for u, w in itertools.combinations(block, 2):
-            dot = float(gram[position[u], position[w]])
-            if dot > tol:
-                violations.append(
-                    Violation(
-                        "orthogonality",
-                        f"{u},{w}",
-                        f"|<{u}|{w}>| = {dot:.3e} in block {label}",
-                        dot,
-                    )
-                )
+            continue
+        u, w, dot = diagram.atoms[first[k]], diagram.atoms[second[k]], float(dots[k])
+        violations.append(
+            Violation("orthogonality", f"{u},{w}", f"|<{u}|{w}>| = {dot:.3e} in block {label}", dot)
+        )
     return violations
 
 
@@ -401,7 +441,7 @@ def quantum_feasibility(
     _require(check_realization(diagram, realization), InvalidRealization)
     _require(validate_state(diagram, assignment), InvalidState)
     n = realization.dim
-    vectors = np.array([realization.vectors[a] for a in diagram.atoms])
+    vectors = _realization_rows(diagram, realization)
     probs = np.array([assignment.values[a] for a in diagram.atoms])
     zero = probs <= _ZERO_PROB_TOL
 
@@ -428,8 +468,12 @@ def quantum_feasibility(
 
     def constraint_violations(candidate: np.ndarray) -> tuple[tuple[str, float, float], ...]:
         achieved = np.einsum("ki,ij,kj->k", vectors, candidate, vectors)
-        checks = zip((*diagram.atoms, "trace"), (*probs, 1.0), (*achieved, np.trace(candidate)))
-        return tuple((s, float(t), float(a)) for s, t, a in checks if abs(a - t) > FEASIBILITY_TOL)
+        failing = (np.abs(achieved - probs) > FEASIBILITY_TOL).nonzero()[0]
+        found = [(diagram.atoms[k], float(probs[k]), float(achieved[k])) for k in failing]
+        trace = candidate.trace()
+        if abs(trace - 1.0) > FEASIBILITY_TOL:
+            found.append(("trace", 1.0, float(trace)))
+        return tuple(found)
 
     violations = constraint_violations(rho)
     if violations:

@@ -68,10 +68,10 @@ class SymMatrix:
             raise DimensionMismatch("matrix must have dimension >= 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix has non-finite entries")
-        asym = float(np.max(np.abs(a - a.T)))
+        a *= 0.5  # halved first: a - a^T and a + a^T overflow near the float limit
+        asym = 2.0 * float(np.max(np.abs(a - a.T)))
         if asym > _ASYMMETRY_LIMIT:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-        a *= 0.5  # halved first: a + a^T overflows near the float limit
         a = a + a.T
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -198,13 +198,19 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     Row i of the result is the unit vector Gram-Schmidt would produce from
     the first i + 1 inputs: each sign is chosen so that diag(R) > 0. Raises
     LinearlyDependent when a squared singular value of the input is at most
-    ``scaled_tol(tol, v v^T)``.
+    ``scaled_tol(tol, v v^T)``. The Gram matrix is taken of the rows after
+    :func:`pow2_rescale`, so the threshold stays finite where v v^T would
+    overflow and is exact where it would not.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     k, n = v.shape
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")
-    if rank(v, math.sqrt(scaled_tol(tol, v @ v.T))) < k:
+    scaled, s = pow2_rescale(v)
+    gram_max = float(np.abs(scaled @ scaled.T).max())  # max |v v^T| / s^2, exactly
+    # sqrt(tol * max(1, gram_max * s^2)); s is a power of 2, so sqrt(s^2) = s exactly.
+    threshold = math.sqrt(tol * gram_max) * s if gram_max * s * s > 1.0 else math.sqrt(tol)
+    if rank(v, threshold) < k:
         raise LinearlyDependent("input vectors are linearly dependent")
     q, r = np.linalg.qr(v.T)
     return (q * np.sign(np.diag(r))).T

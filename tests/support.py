@@ -3,7 +3,9 @@
 The oracles here are intentionally independent of the library paths they
 check: exhaustive enumeration for two-valued states and for LP feasibility,
 scipy's HiGHS for LPs too large to enumerate (tests using it are skipped
-without scipy), and plain numpy arithmetic for expected values.
+without scipy), and plain numpy arithmetic for expected values. The
+``reference_*`` functions are the probe-by-probe and pair-by-pair loops that
+the library's cached index arrays replace; results must match them exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ import numpy as np
 import pytest
 
 from gleason import DensityOperator, GreechieDiagram, SymMatrix, orthonormalize
+from gleason.frame import (
+    _ORACLE_PROBE_COUNT,
+    _ORACLE_PROBE_SEED,
+    FrameOracle,
+    NotAFrameFunction,
+    consistency_limit,
+)
+from gleason.greechie import ProbabilityAssignment, VectorRealization, Violation
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -114,3 +124,90 @@ def pentagon_b_vectors() -> np.ndarray:
     ]
     rows = np.array(spans)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def reference_reconstruct_form(oracle: FrameOracle) -> SymMatrix:
+    """Polarization with every probe built at the call: basis, mixed pairs, then seeded checks."""
+    n = oracle.dim
+    basis = np.eye(n)
+    diag = [float(oracle.evaluator(basis[i])) for i in range(n)]
+    values = list(diag)
+    a = np.diag(diag)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            mixed = float(oracle.evaluator((basis[i] + basis[j]) / math.sqrt(2.0)))
+            a[i, j] = a[j, i] = mixed - (diag[i] + diag[j]) / 2.0
+            values.append(mixed)
+    form = SymMatrix(a)
+    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
+    deviations = []
+    for _ in range(_ORACLE_PROBE_COUNT):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        value = float(oracle.evaluator(x))
+        values.append(value)
+        deviations.append(abs(value - float(x @ form.entries @ x)))
+    limit = consistency_limit(values)
+    for deviation in deviations:
+        if deviation > limit:
+            raise NotAFrameFunction(
+                "oracle deviates from the reconstructed quadratic form "
+                f"by {deviation:.3e} at a probe point"
+            )
+    return form
+
+
+def reference_check_realization(
+    diagram: GreechieDiagram, realization: VectorRealization, tol: float
+) -> list[Violation]:
+    """Block-size and in-block orthogonality violations, block by block, pair by pair."""
+    position = {atom: i for i, atom in enumerate(diagram.atoms)}
+    vectors = np.array([realization.vectors[a] for a in diagram.atoms])
+    gram = np.abs(vectors @ vectors.T)
+    violations = []
+    for block in diagram.blocks:
+        label = ",".join(block)
+        if len(block) > realization.dim:
+            violations.append(
+                Violation(
+                    "block-size",
+                    label,
+                    f"block of size {len(block)} exceeds dimension {realization.dim}",
+                    float(len(block) - realization.dim),
+                )
+            )
+        for u, w in itertools.combinations(block, 2):
+            dot = float(gram[position[u], position[w]])
+            if dot > tol:
+                violations.append(
+                    Violation(
+                        "orthogonality",
+                        f"{u},{w}",
+                        f"|<{u}|{w}>| = {dot:.3e} in block {label}",
+                        dot,
+                    )
+                )
+    return violations
+
+
+def reference_validate_state(
+    diagram: GreechieDiagram, assignment: ProbabilityAssignment, tol: float
+) -> list[Violation]:
+    """Range violations in atom order, then block-sum violations in block order."""
+    violations = []
+    for atom in diagram.atoms:
+        value = assignment.values[atom]
+        if not -tol <= value <= 1.0 + tol:
+            violations.append(Violation("range", atom, f"value {value!r} outside [0, 1]", value))
+    for block in diagram.blocks:
+        total = math.fsum(assignment.values[a] for a in block)
+        if not abs(total - 1.0) <= tol:
+            violations.append(
+                Violation(
+                    "block-sum",
+                    ",".join(block),
+                    f"block sums to {total!r} (deficit {total - 1.0:+.3e})",
+                    total - 1.0,
+                )
+            )
+    return violations

@@ -372,6 +372,22 @@ class TestSignatureCommand:
         assert values["signature"] == {"positive": 1, "negative": 1, "zero": 0}
         assert values["classification"] is None
 
+    @pytest.mark.parametrize("command", ["signature", "reconstruct"])
+    def test_asymmetry_at_the_float_limit(self, tmp_path, command):
+        # a - a^T overflows float64 here: any numpy warning must fail the run.
+        form = tmp_path / "skew.mat"
+        form.write_text("dim 2\n0 1e308\n-1e308 0\n")
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gleason.cli", command, str(form)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == "error: matrix is not symmetric (max |a - a^T| = inf)\n"
+
     def test_custom_tolerance_moves_the_boundary(self, capsys, tmp_path):
         form = tmp_path / "soft.mat"
         form.write_text("dim 2\n1 0\n0 1e-6\n")

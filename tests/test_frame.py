@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gleason.density import DensityOperator, StateVector, pure_state, spectral_mixture
+from gleason import frame
 from gleason.frame import (
     FrameFunction,
     FrameOracle,
@@ -33,6 +34,7 @@ from support import (
     random_orthonormal,
     random_symmetric,
     random_unit,
+    reference_reconstruct_form,
     well_conditioned_transform,
 )
 
@@ -187,6 +189,61 @@ class TestReconstruct:
     def test_reconstruct_form_without_checks(self):
         form = reconstruct_form(FrameOracle(lambda x: 2.0 * x[0] ** 2, dim=2))
         assert np.max(np.abs(form.entries - np.diag([2.0, 0.0]))) <= 1e-14
+
+
+def recording_oracle(evaluator, n):
+    """An oracle that calls ``evaluator`` and keeps a copy of every point it was given."""
+    points = []
+
+    def record(x):
+        points.append(np.array(x))
+        return evaluator(x)
+
+    return FrameOracle(record, dim=n), points
+
+
+class TestProbePlan:
+    """reconstruct_form against the probe-by-probe reference loop in tests/support.py."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_loop(self, n):
+        rng = np.random.default_rng(1050 + n)
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            quadratic = random_symmetric(rng, n, scale).entries
+            for evaluator in (lambda x: x @ quadratic @ x, lambda x: scale * x[0] ** 4):
+                results = []
+                for reconstruct in (reference_reconstruct_form, reconstruct_form):
+                    oracle, points = recording_oracle(evaluator, n)
+                    try:
+                        result = reconstruct(oracle).entries
+                    except NotAFrameFunction as exc:
+                        result = str(exc)
+                    results.append((result, np.array(points)))
+                (want, want_points), (got, got_points) = results
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert np.array_equal(got, want)
+                assert np.array_equal(got_points, want_points)
+                assert len(got_points) == n * (n + 1) // 2 + 10
+
+    def test_second_call_builds_no_plan(self):
+        oracle = FrameOracle(sevenths_function, dim=3)
+        reconstruct_form(oracle)
+        before = frame._probe_plan.cache_info()
+        reconstruct_form(oracle)
+        after = frame._probe_plan.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_evaluator_cannot_write_to_the_plan(self):
+        def scribble(x):
+            x *= 2.0
+            return float(x @ SEVENTHS @ x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            reconstruct_form(FrameOracle(scribble, dim=3))
+        form = reconstruct_form(FrameOracle(sevenths_function, dim=3))
+        assert np.max(np.abs(form.entries - SEVENTHS)) <= 1e-12
 
 
 class TestReconstructFromSamples:

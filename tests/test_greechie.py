@@ -25,7 +25,13 @@ from gleason.greechie import (
     validate_state,
 )
 from gleason.numerics import DEFAULT_TOL, DimensionMismatch
-from support import brute_force_two_valued, highs_lp_feasible, random_diagram
+from support import (
+    brute_force_two_valued,
+    highs_lp_feasible,
+    random_diagram,
+    reference_check_realization,
+    reference_validate_state,
+)
 
 TRIANGLE = GreechieDiagram(
     atoms=("x", "y", "z"), blocks=(("x", "y"), ("y", "z"), ("z", "x"))
@@ -281,6 +287,57 @@ class TestPolytopeVertex:
         # The three block equalities alone have full rank here, so the
         # all-1/2 state is the polytope's only point.
         assert is_polytope_vertex(TRIANGLE, uniform_measure(TRIANGLE))
+
+
+def shuffled(rng, diagram):
+    """The same diagram with its atoms, and each block's atoms, in random order."""
+    atoms = tuple(rng.permutation(diagram.atoms).tolist())
+    blocks = tuple(tuple(rng.permutation(block).tolist()) for block in diagram.blocks)
+    return GreechieDiagram(atoms, blocks)
+
+
+class TestIndexArrays:
+    """Cached diagram indices, and the checks on them against the loops in tests/support.py."""
+
+    def test_incidence_marks_block_members(self):
+        diagram = shuffled(np.random.default_rng(3), ngon(5))
+        want = [[atom in block for atom in diagram.atoms] for block in diagram.blocks]
+        assert diagram.incidence.tolist() == want
+        assert diagram.incidence is diagram.incidence
+        with pytest.raises(ValueError):
+            diagram.incidence[0, 0] = not diagram.incidence[0, 0]
+
+    def test_empty_diagram(self):
+        diagram = GreechieDiagram((), ())
+        assert diagram.incidence.shape == (0, 0)
+        assert check_realization(diagram, VectorRealization({})) == []
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_check_realization_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = shuffled(rng, random_diagram(rng))
+        dim = int(rng.integers(2, 5))
+        # Atoms on random axes, some tilted: same-axis pairs fail at every tol,
+        # tilted ones only at the smaller tolerances.
+        axes = np.eye(dim)[rng.integers(0, dim, len(diagram.atoms))]
+        tilt = rng.choice([0.0, 0.02, 0.5], size=(len(diagram.atoms), 1)) * rng.standard_normal(dim)
+        realization = VectorRealization(dict(zip(diagram.atoms, axes + tilt)))
+        for tol in (DEFAULT_TOL, 0.1, 0.6):
+            want = reference_check_realization(diagram, realization, tol)
+            assert check_realization(diagram, realization, tol) == want
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_validate_state_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = shuffled(rng, random_diagram(rng))
+        states = [s.as_assignment() for s in enumerate_two_valued_states(diagram)[:3]]
+        for _ in range(3):
+            values = rng.choice([0.0, 0.5, 1.0, -0.2, 1.3, rng.random()], size=len(diagram.atoms))
+            states.append(ProbabilityAssignment(dict(zip(diagram.atoms, values))))
+        for state in states:
+            for tol in (DEFAULT_TOL, 0.25):
+                want = reference_validate_state(diagram, state, tol)
+                assert validate_state(diagram, state, tol) == want
 
 
 class TestCheckRealization:

@@ -17,6 +17,7 @@ from gleason.numerics import (
     pow2_rescale,
     quad_coeff_row,
     rank,
+    scaled_tol,
     solve_least_squares,
     sym_from_packed,
 )
@@ -59,6 +60,13 @@ class TestSymMatrix:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             SymMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_asymmetry_reported_at_the_float_limit(self):
+        # a - a^T overflows here; halved first, the measure is inf with no warning.
+        with pytest.raises(ValueError, match=r"max \|a - a\^T\| = inf\)"):
+            SymMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        with pytest.raises(ValueError, match=r"max \|a - a\^T\| = 1\.000e-01\)"):
+            SymMatrix(np.array([[1.0, 2.0], [2.1, 3.0]]))
 
     def test_symmetrizes_at_the_float_limit(self):
         # a + a^T would overflow here; the entries must stay finite.
@@ -320,6 +328,32 @@ class TestOrthonormalize:
     def test_axis_scaling(self):
         q = orthonormalize([(2.0, 0.0), (0.0, 3.0)])
         assert np.allclose(q, np.eye(2), atol=0)
+
+    def test_huge_orthogonal_rows(self):
+        # v v^T overflows here; the Gram matrix of the rescaled rows does not.
+        assert np.array_equal(orthonormalize([(1e200, 0.0), (0.0, 1e200)]), np.eye(2))
+
+    def test_verdict_matches_unscaled_gram_rule(self):
+        # Where v v^T stays finite, the verdict is rank(v, sqrt(scaled_tol(tol, v v^T))) < k.
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            k = int(rng.integers(1, n + 1))
+            v = rng.standard_normal((k, n))
+            if k > 1 and rng.random() < 0.6:  # the last row close to the span of the others
+                v[-1] = rng.standard_normal(k - 1) @ v[:-1] + 10.0 ** rng.uniform(-8, -2) * v[-1]
+            v *= 10.0 ** rng.uniform(-140, 140)
+            tol = float(rng.choice([1e-12, 1e-9, 1e-6]))
+            dependent = rank(v, math.sqrt(scaled_tol(tol, v @ v.T))) < k
+            try:
+                orthonormalize(v, tol)
+                raised = False
+            except LinearlyDependent:
+                raised = True
+            assert raised == dependent
+            verdicts.append(dependent)
+        assert 50 <= sum(verdicts) <= 350
 
     def test_plane_span_preserved(self):
         q = orthonormalize([(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
