@@ -112,7 +112,8 @@ class GreechieDiagram:
 
     @cached_property
     def _block_positions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self._position[a] for a in block) for block in self.blocks)
+        position = self._position
+        return tuple(tuple(map(position.__getitem__, block)) for block in self.blocks)
 
     @cached_property
     def _block_pairs(self) -> np.ndarray:
