@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gleason.density import DensityOperator, StateVector, pure_state, spectral_mixture
 from gleason import frame
+from gleason.density import DensityOperator, StateVector, pure_state, spectral_mixture
 from gleason.frame import (
     FrameFunction,
     FrameOracle,
