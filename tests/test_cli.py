@@ -531,6 +531,28 @@ class TestGreechieCommands:
         ]
 
 
+KS18 = Path(__file__).resolve().parents[1] / "perfbench" / "ks18.greechie"
+# Text stdout and exit code per "<subcommand> <file name>". KS-18 feasibility is
+# left out: its density carries LAPACK roundoff near 1e-17.
+GREECHIE_SNAPSHOT = json.loads((Path(__file__).parent / "greechie_cli_snapshot.json").read_text())
+
+
+class TestGreechieSnapshot:
+    @pytest.mark.parametrize("key", sorted(GREECHIE_SNAPSHOT))
+    def test_text_output(self, capsys, monkeypatch, key):
+        subcommand, name = key.split()
+        path = KS18 if name == KS18.name else FIXTURES / name
+        monkeypatch.chdir(path.parent)  # the report prints the path as given
+        code, out, _ = run(capsys, "greechie", subcommand, name)
+        assert {"exit": code, "stdout": out} == GREECHIE_SNAPSHOT[key]
+
+    def test_covers_every_fixture_and_subcommand(self):
+        names = [p.name for p in FIXTURES.glob("*.greechie")] + [KS18.name]
+        subcommands = ("check", "two-valued", "decompose", "feasibility")
+        want = {f"{s} {n}" for s in subcommands for n in names} - {"feasibility ks18.greechie"}
+        assert set(GREECHIE_SNAPSHOT) == want
+
+
 class TestNonFiniteInput:
     """nan and infinities are format errors (exit 2), never silent verdicts."""
 

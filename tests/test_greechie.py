@@ -113,6 +113,50 @@ class TestValidateState:
             validate_state(diagram, ProbabilityAssignment(values))
 
 
+def with_coverage_fault(mapping, fault):
+    """A copy of an atom-keyed mapping without atom x1+, with an undeclared atom, or both."""
+    out = dict(mapping)
+    if fault in ("missing", "both"):
+        del out["x1+"]
+    if fault in ("undeclared", "both"):
+        out["ghost"] = out["x2-"]
+    return out
+
+
+class TestCoverageErrors:
+    """Every entry point names a missing atom before an undeclared one."""
+
+    ENTRY_POINTS = {
+        "validate_state": ("assignment", lambda d, r, p: validate_state(d, p)),
+        "check_realization": ("realization", lambda d, r, p: check_realization(d, r)),
+        "convex_decomposition": ("assignment", lambda d, r, p: convex_decomposition(d, p)),
+        "is_polytope_vertex": ("assignment", lambda d, r, p: is_polytope_vertex(d, p)),
+        "quantum_feasibility-realization": ("realization", quantum_feasibility),
+        "quantum_feasibility-assignment": ("assignment", quantum_feasibility),
+    }
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing", "misses atom 'x1+'"),
+            ("undeclared", "names undeclared atom 'ghost'"),
+            ("both", "misses atom 'x1+'"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_unknown_atom_message(self, entry, fault, message):
+        diagram, realization = builtin_spin_half_family(2, [0.0, 0.5])
+        assignment = uniform_measure(diagram)
+        what, call = self.ENTRY_POINTS[entry]
+        if what == "assignment":
+            assignment = ProbabilityAssignment(with_coverage_fault(assignment.values, fault))
+        else:
+            realization = VectorRealization(with_coverage_fault(realization.vectors, fault))
+        with pytest.raises(UnknownAtom) as raised:
+            call(diagram, realization, assignment)
+        assert str(raised.value) == f"{what} {message}"
+
+
 class TestTwoValuedEnumeration:
     def test_disjoint_blocks_power_of_two(self):
         for n, angles in ((1, [0.0]), (2, [0.0, 0.5]), (3, [0.0, 0.5, 1.0])):
