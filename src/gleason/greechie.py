@@ -70,33 +70,40 @@ class InvalidRealization(ValueError):
 class GreechieDiagram:
     """Atoms plus blocks; every block is one complete orthogonal context.
 
-    ``incidence`` is the read-only blocks x atoms matrix, True where the
-    atom (in ``atoms`` order) lies in the block. It and the atom positions
-    behind it are built on first use and kept.
+    Atom ids and block members are kept as strings, as assignments and
+    realizations key them. Construction validates the blocks and keeps each
+    block's atom positions; ``incidence`` (the read-only blocks x atoms
+    matrix, True where the atom lies in the block) and the in-block pairs
+    are built on first use and kept.
     """
 
     atoms: tuple[str, ...]
     blocks: tuple[tuple[str, ...], ...]
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
+    _block_positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        declared = set(self.atoms)
-        if len(declared) != len(self.atoms):
+        atoms = tuple(map(str, self.atoms))
+        blocks = tuple(tuple(map(str, block)) for block in self.blocks)
+        position = {atom: i for i, atom in enumerate(atoms)}
+        if len(position) != len(atoms):
             raise ValueError("duplicate atom id")
-        covered: set[str] = set()
-        for block in self.blocks:
+        block_positions = []
+        for block in blocks:
             if len(block) < 2:
                 raise ValueError(f"block {block} has fewer than 2 atoms")
+            where = [position.get(atom, -1) for atom in block]
             if len(set(block)) != len(block):
                 raise ValueError(f"block {block} repeats an atom")
-            for atom in block:
-                if atom not in declared:
-                    raise UnknownAtom(f"block references undeclared atom {atom!r}")
-            covered.update(block)
-        for atom in self.atoms:
-            if atom not in covered:
-                raise ValueError(f"atom {atom!r} appears in no block")
+            if -1 in where:
+                raise UnknownAtom(f"block references undeclared atom {block[where.index(-1)]!r}")
+            block_positions.append(tuple(where))
+        if uncovered := set(range(len(atoms))).difference(*block_positions):
+            raise ValueError(f"atom {atoms[min(uncovered)]!r} appears in no block")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_block_positions", tuple(block_positions))
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -105,15 +112,6 @@ class GreechieDiagram:
             incidence[b, block] = True
         incidence.flags.writeable = False
         return incidence
-
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {atom: i for i, atom in enumerate(self.atoms)}
-
-    @cached_property
-    def _block_positions(self) -> tuple[tuple[int, ...], ...]:
-        position = self._position
-        return tuple(tuple(map(position.__getitem__, block)) for block in self.blocks)
 
     @cached_property
     def _block_pairs(self) -> np.ndarray:
@@ -131,6 +129,23 @@ class GreechieDiagram:
         ).reshape(-1, 3).T
         pairs.flags.writeable = False
         return pairs
+
+    def _atom_array(
+        self, by_atom: Mapping[str, object], what: str, shape: tuple[int, ...] = ()
+    ) -> np.ndarray:
+        """The mapping's values in ``atoms`` order, stacked into rows of ``shape``.
+
+        Raises UnknownAtom for the first atom the mapping misses, else for
+        the first key it names that the diagram does not declare.
+        """
+        try:
+            values = [by_atom[atom] for atom in self.atoms]
+        except KeyError as missing:
+            raise UnknownAtom(f"{what} misses atom {missing.args[0]!r}") from None
+        if len(by_atom) != len(values):
+            extra = next(atom for atom in by_atom if atom not in self._position)
+            raise UnknownAtom(f"{what} names undeclared atom {extra!r}")
+        return np.array(values).reshape(len(values), *shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +213,6 @@ class Violation:
     amount: float = 0.0
 
 
-def _check_coverage(diagram: GreechieDiagram, keys, what: str) -> None:
-    for atom in diagram.atoms:
-        if atom not in keys:
-            raise UnknownAtom(f"{what} misses atom {atom!r}")
-    for atom in keys:
-        if atom not in diagram._position:
-            raise UnknownAtom(f"{what} names undeclared atom {atom!r}")
-
-
 def validate_state(
     diagram: GreechieDiagram,
     assignment: ProbabilityAssignment,
@@ -217,16 +223,14 @@ def validate_state(
     Conditions: every value in [0, 1] and every block summing to 1 within
     tolerance. A NaN value fails both conditions.
     """
-    _check_coverage(diagram, assignment.values, "assignment")
-    violations: list[Violation] = []
-    for atom in diagram.atoms:
-        value = assignment.values[atom]
-        if not -tol <= value <= 1.0 + tol:
-            violations.append(
-                Violation("range", atom, f"value {value!r} outside [0, 1]", value)
-            )
-    for block in diagram.blocks:
-        total = math.fsum(assignment.values[a] for a in block)
+    values = diagram._atom_array(assignment.values, "assignment").tolist()
+    violations = [
+        Violation("range", atom, f"value {value!r} outside [0, 1]", value)
+        for atom, value in zip(diagram.atoms, values)
+        if not -tol <= value <= 1.0 + tol
+    ]
+    for block, where in zip(diagram.blocks, diagram._block_positions):
+        total = math.fsum(values[i] for i in where)
         if not abs(total - 1.0) <= tol:
             violations.append(
                 Violation(
@@ -292,11 +296,9 @@ class Decomposition:
     entries: tuple[tuple[float, TwoValuedState], ...]
 
     def reconstructed(self, atoms: tuple[str, ...]) -> dict[str, float]:
-        out = {a: 0.0 for a in atoms}
-        for weight, state in self.entries:
-            for a in atoms:
-                out[a] += weight * state.values[a]
-        return out
+        weights = np.array([w for w, _ in self.entries])
+        rows = np.array([s.bits(atoms) for _, s in self.entries]).reshape(len(weights), len(atoms))
+        return dict(zip(atoms, (weights @ rows).tolist()))
 
 
 def convex_decomposition(
@@ -313,7 +315,8 @@ def convex_decomposition(
     states = _two_valued_rows(diagram)
     columns = np.array(states, dtype=float).reshape(len(states), len(atoms)).T
     rows = np.vstack([columns, np.ones(len(states))])
-    weights = lp_feasible(rows, np.array([assignment.values[a] for a in atoms] + [1.0]))
+    target = np.append(diagram._atom_array(assignment.values, "assignment"), 1.0)
+    weights = lp_feasible(rows, target)
     if weights is None:
         return None
     support = [(float(w), s) for w, s in zip(weights, states) if w]
@@ -331,15 +334,9 @@ def is_polytope_vertex(
     q(atom) = 0 bounds) have full rank over the atoms.
     """
     _require(validate_state(diagram, assignment), InvalidState)
-    atoms = diagram.atoms
-    tight = np.eye(len(atoms))[[assignment.values[a] <= tol for a in atoms]]
-    return rank(np.vstack([diagram.incidence, tight]), tol) == len(atoms)
-
-
-def _realization_rows(diagram: GreechieDiagram, realization: VectorRealization) -> np.ndarray:
-    """The realization's vectors as rows, in ``diagram.atoms`` order."""
-    rows = [realization.vectors[a] for a in diagram.atoms]
-    return np.array(rows).reshape(len(rows), realization.dim)
+    values = diagram._atom_array(assignment.values, "assignment")
+    tight = np.eye(len(values))[values <= tol]
+    return rank(np.vstack([diagram.incidence, tight]), tol) == len(values)
 
 
 def check_realization(
@@ -353,8 +350,7 @@ def check_realization(
     and that no block exceeds the space dimension. Unit norm is not checked:
     ``VectorRealization`` keeps it from construction on.
     """
-    _check_coverage(diagram, realization.vectors, "realization")
-    vectors = _realization_rows(diagram, realization)
+    vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
     first, second, block_of = diagram._block_pairs
     dots = np.abs(vectors @ vectors.T)[first, second]
     # (block, -1) for an oversized block sorts before (block, pair) for its pairs.
@@ -442,8 +438,8 @@ def quantum_feasibility(
     _require(check_realization(diagram, realization), InvalidRealization)
     _require(validate_state(diagram, assignment), InvalidState)
     n = realization.dim
-    vectors = _realization_rows(diagram, realization)
-    probs = np.array([assignment.values[a] for a in diagram.atoms])
+    vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
+    probs = diagram._atom_array(assignment.values, "assignment")
     zero = probs <= _ZERO_PROB_TOL
 
     if zero.any():

@@ -12,6 +12,7 @@ rescaling. The ``dim n`` matrix text format of the command line is here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -21,6 +22,8 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 _ASYMMETRY_LIMIT = 1e-12
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class DimensionMismatch(ValueError):
@@ -54,7 +57,8 @@ class SymMatrix:
     Construction symmetrizes through a/2 + a^T/2 but rejects inputs whose
     asymmetry exceeds 1e-12, so caller bugs surface instead of being
     averaged away. Non-finite entries are rejected too: LAPACK turns them
-    into NaN eigenvalues, which pass every ``<`` test. The entries are
+    into NaN eigenvalues, which pass every ``<`` test. So is a trace that
+    overflows, so ``trace`` is always finite. The entries are
     read-only, so ``spectrum`` is computed on first use and kept.
     """
 
@@ -73,6 +77,12 @@ class SymMatrix:
         if asym > _ASYMMETRY_LIMIT:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
         a = a + a.T
+        # Partial sums of the trace stay below 2 n max |a_ii|, so only near
+        # the float limit can it overflow; there it is summed without warning.
+        if 2.0 * len(a) * max(map(abs, a.diagonal().tolist())) > _FLOAT_MAX:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not math.isfinite(np.trace(a)):
+                    raise ValueError("matrix trace overflows float64")
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

@@ -388,6 +388,31 @@ class TestSignatureCommand:
         assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
         assert proc.stderr == "error: matrix is not symmetric (max |a - a^T| = inf)\n"
 
+    @pytest.mark.parametrize(
+        "rows, command",
+        [
+            ("1e308 1e308\n1e308 1e308", "signature"),
+            ("1e308 1e308\n1e308 1e308", "density-to-frame"),
+            ("1e308 1e308\n1e308 1e308", "reconstruct"),
+            ("1e308 0\n0 1e308", "signature"),
+            ("1e308 0\n0 1e308", "density-to-frame"),
+        ],
+    )
+    def test_trace_past_the_float_limit(self, tmp_path, rows, command):
+        # The trace 2e308 overflows float64: any numpy warning must fail the run.
+        form = tmp_path / "huge.mat"
+        form.write_text(f"dim 2\n{rows}\n")
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gleason.cli", command, str(form)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == "error: matrix trace overflows float64\n"
+
     def test_custom_tolerance_moves_the_boundary(self, capsys, tmp_path):
         form = tmp_path / "soft.mat"
         form.write_text("dim 2\n1 0\n0 1e-6\n")

@@ -73,6 +73,18 @@ class TestDiagramInvariants:
         with pytest.raises(ValueError, match="no block"):
             GreechieDiagram(("a", "b", "c"), (("a", "b"),))
 
+    def test_non_string_atom_ids_match_assignment_keys(self):
+        # Assignments and realizations key atoms by str; the diagram must too.
+        diagram = GreechieDiagram((1, 2, 3), ((1, 2), (2, 3)))
+        assert diagram.atoms == ("1", "2", "3")
+        assert diagram.blocks == (("1", "2"), ("2", "3"))
+        assignment = ProbabilityAssignment({1: 1.0, 2: 0.0, 3: 1.0})
+        assert validate_state(diagram, assignment) == []
+        assert is_polytope_vertex(diagram, assignment)
+        realization = VectorRealization({1: [1.0, 0.0], 2: [0.0, 1.0], 3: [1.0, 0.0]})
+        assert check_realization(diagram, realization) == []
+        assert quantum_feasibility(diagram, realization, assignment).realizable
+
 
 class TestValidateState:
     def test_classical_measure_is_valid(self):

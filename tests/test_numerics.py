@@ -68,6 +68,31 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match=r"max \|a - a\^T\| = 1\.000e-01\)"):
             SymMatrix(np.array([[1.0, 2.0], [2.1, 3.0]]))
 
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            [1e308, 1e308],
+            [1e308, -1e308],
+            [8e307, 8e307],
+            [1e308, 1e308, -1e308],
+            [-1e308, 1e308, 1e308, 1e308],
+            [1e308, 1e308, -1e308] + [0.0] * 6,
+            [1e308] * 8 + [-1e308] * 8,
+            [-1e308, 1e308, 1e308, -1e308] + [0.0] * 5,
+            [1e307] * 17,
+            [1.0, 2.0, 3.0],
+        ],
+    )
+    def test_rejects_exactly_the_traces_that_overflow(self, diagonal):
+        a = np.diag(diagonal)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = not math.isfinite(np.trace(a))
+        if overflows:
+            with pytest.raises(ValueError, match="^matrix trace overflows float64$"):
+                SymMatrix(a)
+        else:
+            assert SymMatrix(a).trace() == np.trace(a)
+
     def test_symmetrizes_at_the_float_limit(self):
         # a + a^T would overflow here; the entries must stay finite.
         big = np.finfo(float).max
