@@ -18,6 +18,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -85,21 +86,22 @@ class GreechieDiagram:
     def __post_init__(self) -> None:
         atoms = tuple(map(str, self.atoms))
         blocks = tuple(tuple(map(str, block)) for block in self.blocks)
-        position = {atom: i for i, atom in enumerate(atoms)}
+        position = dict(zip(atoms, range(len(atoms))))
         if len(position) != len(atoms):
             raise ValueError("duplicate atom id")
         block_positions = []
         for block in blocks:
             if len(block) < 2:
                 raise ValueError(f"block {block} has fewer than 2 atoms")
-            where = [position.get(atom, -1) for atom in block]
             if len(set(block)) != len(block):
                 raise ValueError(f"block {block} repeats an atom")
-            if -1 in where:
-                raise UnknownAtom(f"block references undeclared atom {block[where.index(-1)]!r}")
-            block_positions.append(tuple(where))
-        if uncovered := set(range(len(atoms))).difference(*block_positions):
-            raise ValueError(f"atom {atoms[min(uncovered)]!r} appears in no block")
+            try:
+                block_positions.append(itemgetter(*block)(position))
+            except KeyError as missing:
+                raise UnknownAtom(f"block references undeclared atom {missing.args[0]!r}") from None
+        if len(set().union(*block_positions)) < len(atoms):
+            uncovered = min(set(range(len(atoms))).difference(*block_positions))
+            raise ValueError(f"atom {atoms[uncovered]!r} appears in no block")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_position", position)
@@ -130,13 +132,10 @@ class GreechieDiagram:
         pairs.flags.writeable = False
         return pairs
 
-    def _atom_array(
-        self, by_atom: Mapping[str, object], what: str, shape: tuple[int, ...] = ()
-    ) -> np.ndarray:
+    def _atom_array(self, by_atom: Mapping, what: str, shape: tuple = ()) -> np.ndarray:
         """The mapping's values in ``atoms`` order, stacked into rows of ``shape``.
 
-        Raises UnknownAtom for the first atom the mapping misses, else for
-        the first key it names that the diagram does not declare.
+        UnknownAtom names the first atom missing, else the first undeclared key.
         """
         try:
             values = [by_atom[atom] for atom in self.atoms]

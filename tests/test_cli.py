@@ -397,6 +397,7 @@ class TestSignatureCommand:
             ("1e308 0\n0 1e308", "signature"),
             ("1e308 0\n0 1e308", "density-to-frame"),
         ],
+        ids=["full-signature", "full-density", "full-reconstruct", "diag-signature", "diag-density"],
     )
     def test_trace_past_the_float_limit(self, tmp_path, rows, command):
         # The trace 2e308 overflows float64: any numpy warning must fail the run.
