@@ -23,8 +23,6 @@ DEFAULT_TOL = 1e-9
 
 _ASYMMETRY_LIMIT = 1e-12
 
-_FLOAT_MAX = sys.float_info.max
-
 
 class DimensionMismatch(ValueError):
     """Operands do not have compatible dimensions."""
@@ -57,8 +55,8 @@ class SymMatrix:
     Construction symmetrizes through a/2 + a^T/2 but rejects inputs whose
     asymmetry exceeds 1e-12, so caller bugs surface instead of being
     averaged away. Non-finite entries are rejected too: LAPACK turns them
-    into NaN eigenvalues, which pass every ``<`` test. So is a trace that
-    overflows, so ``trace`` is always finite. The entries are
+    into NaN eigenvalues, which pass every ``<`` test. A trace that overflows
+    is rejected as well, so ``trace`` is always finite. The entries are
     read-only, so ``spectrum`` is computed on first use and kept.
     """
 
@@ -79,7 +77,7 @@ class SymMatrix:
         a = a + a.T
         # Partial sums of the trace stay below 2 n max |a_ii|, so only near
         # the float limit can it overflow; there it is summed without warning.
-        if 2.0 * len(a) * max(map(abs, a.diagonal().tolist())) > _FLOAT_MAX:
+        if 2.0 * len(a) * max(map(abs, a.diagonal().tolist())) > sys.float_info.max:
             with np.errstate(over="ignore", invalid="ignore"):
                 if not math.isfinite(np.trace(a)):
                     raise ValueError("matrix trace overflows float64")

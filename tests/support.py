@@ -5,7 +5,8 @@ check: exhaustive enumeration for two-valued states and for LP feasibility,
 scipy's HiGHS for LPs too large to enumerate (tests using it are skipped
 without scipy), and plain numpy arithmetic for expected values. The
 ``reference_*`` functions are the probe-by-probe and pair-by-pair loops that
-the library's cached index arrays replace; results must match them exactly.
+the library's cached index arrays replace; results must match them exactly,
+except ``reference_reconstructed``, whose sums a matrix product reorders.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from gleason.frame import (
     NotAFrameFunction,
     consistency_limit,
 )
-from gleason.greechie import ProbabilityAssignment, VectorRealization, Violation
+from gleason.greechie import Decomposition, ProbabilityAssignment, VectorRealization, Violation
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -211,3 +212,12 @@ def reference_validate_state(
                 )
             )
     return violations
+
+
+def reference_reconstructed(decomposition: Decomposition, atoms) -> dict[str, float]:
+    """Weight times state value, summed entry by entry for each atom."""
+    out = {a: 0.0 for a in atoms}
+    for weight, state in decomposition.entries:
+        for a in atoms:
+            out[a] += weight * state.values[a]
+    return out

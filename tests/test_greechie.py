@@ -5,6 +5,7 @@ import pytest
 
 from gleason import greechie
 from gleason.greechie import (
+    Decomposition,
     DuplicateDirection,
     GreechieDiagram,
     GreechieFormatError,
@@ -30,6 +31,7 @@ from support import (
     highs_lp_feasible,
     random_diagram,
     reference_check_realization,
+    reference_reconstructed,
     reference_validate_state,
 )
 
@@ -394,6 +396,20 @@ class TestIndexArrays:
             for tol in (DEFAULT_TOL, 0.25):
                 want = reference_validate_state(diagram, state, tol)
                 assert validate_state(diagram, state, tol) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reconstructed_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = shuffled(rng, random_diagram(rng))
+        states = enumerate_two_valued_states(diagram)
+        weights = rng.random(len(states))
+        decomposition = Decomposition(tuple(zip((weights / weights.sum()).tolist(), states)))
+        atoms = tuple(rng.permutation(diagram.atoms).tolist())
+        want = reference_reconstructed(decomposition, atoms)
+        got = decomposition.reconstructed(atoms)
+        assert list(got) == list(atoms)
+        # Each side sums at most len(states) weights in [0, 1] with total 1, in its own order.
+        assert max(abs(got[a] - want[a]) for a in atoms) <= 2 * len(states) * np.finfo(float).eps
 
 
 class TestCheckRealization:
