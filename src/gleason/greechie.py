@@ -84,8 +84,12 @@ class GreechieDiagram:
     _block_positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(map(str, self.atoms))
-        blocks = tuple(tuple(map(str, block)) for block in self.blocks)
+        atoms = tuple(self.atoms)
+        blocks = tuple(map(tuple, self.blocks))
+        # Exact type, so that str subclasses such as np.str_ are coerced too.
+        if not set(map(type, itertools.chain(atoms, *blocks))) <= {str}:
+            atoms = tuple(map(str, atoms))
+            blocks = tuple(tuple(map(str, block)) for block in blocks)
         position = dict(zip(atoms, range(len(atoms))))
         if len(position) != len(atoms):
             raise ValueError("duplicate atom id")
@@ -222,7 +226,12 @@ def validate_state(
     Conditions: every value in [0, 1] and every block summing to 1 within
     tolerance. A NaN value fails both conditions.
     """
-    values = diagram._atom_array(assignment.values, "assignment").tolist()
+    return _state_violations(diagram, diagram._atom_array(assignment.values, "assignment"), tol)
+
+
+def _state_violations(diagram: GreechieDiagram, values: np.ndarray, tol: float) -> list[Violation]:
+    """``validate_state`` on the assignment's atom-order array."""
+    values = values.tolist()
     violations = [
         Violation("range", atom, f"value {value!r} outside [0, 1]", value)
         for atom, value in zip(diagram.atoms, values)
@@ -350,10 +359,18 @@ def check_realization(
     ``VectorRealization`` keeps it from construction on.
     """
     vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
+    return _realization_violations(diagram, vectors, tol)
+
+
+def _realization_violations(
+    diagram: GreechieDiagram, vectors: np.ndarray, tol: float
+) -> list[Violation]:
+    """``check_realization`` on the realization's atoms x dim array of unit vectors."""
+    dim = vectors.shape[1]
     first, second, block_of = diagram._block_pairs
     dots = np.abs(vectors @ vectors.T)[first, second]
     # (block, -1) for an oversized block sorts before (block, pair) for its pairs.
-    failures = [(b, -1) for b, block in enumerate(diagram.blocks) if len(block) > realization.dim]
+    failures = [(b, -1) for b, block in enumerate(diagram.blocks) if len(block) > dim]
     failures += [(int(block_of[k]), int(k)) for k in (dots > tol).nonzero()[0]]
     violations: list[Violation] = []
     for b, k in sorted(failures):
@@ -364,8 +381,8 @@ def check_realization(
                 Violation(
                     "block-size",
                     label,
-                    f"block of size {len(block)} exceeds dimension {realization.dim}",
-                    float(len(block) - realization.dim),
+                    f"block of size {len(block)} exceeds dimension {dim}",
+                    float(len(block) - dim),
                 )
             )
             continue
@@ -434,11 +451,11 @@ def quantum_feasibility(
     candidate is verified against every constraint (tolerance 1e-8) and
     against positive semidefiniteness (eigenvalue floor -1e-8).
     """
-    _require(check_realization(diagram, realization), InvalidRealization)
-    _require(validate_state(diagram, assignment), InvalidState)
     n = realization.dim
-    vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
+    vectors = diagram._atom_array(realization.vectors, "realization", (n,))
+    _require(_realization_violations(diagram, vectors, DEFAULT_TOL), InvalidRealization)
     probs = diagram._atom_array(assignment.values, "assignment")
+    _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
     zero = probs <= _ZERO_PROB_TOL
 
     if zero.any():
@@ -451,16 +468,18 @@ def quantum_feasibility(
                 certificate=InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank),
             )
         basis = dec.eigenvectors[:, kernel_rank:]
+        points = vectors[~zero] @ basis
     else:
-        basis = np.eye(n)
-    m = basis.shape[1]
+        basis, points = None, vectors
+    m = points.shape[1]
 
     trace_row = np.equal(*packed_index(m))  # 1 on the packed diagonal
-    rows = np.vstack([quad_coeff_row(vectors[~zero] @ basis), trace_row])
+    rows = np.vstack([quad_coeff_row(points), trace_row])
     fit = solve_least_squares(rows, np.append(probs[~zero], 1.0))
-    sigma = sym_from_packed(fit.solution, m)
-    rho = basis @ sigma @ basis.T
-    rho = (rho + rho.T) / 2.0
+    rho = sym_from_packed(fit.solution, m)
+    if basis is not None:
+        rho = basis @ rho @ basis.T
+        rho = (rho + rho.T) / 2.0
 
     def constraint_violations(candidate: np.ndarray) -> tuple[tuple[str, float, float], ...]:
         achieved = np.einsum("ki,ij,kj->k", vectors, candidate, vectors)

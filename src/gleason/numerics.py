@@ -3,7 +3,10 @@
 Everything here is float64 and sized for desk-scale problems (dimensions up
 to a few dozen). Eigendecomposition, rank, least squares and
 orthonormalization delegate to LAPACK through numpy, and so does LP
-feasibility, decided by non-negative least squares. ``SymMatrix.spectrum``
+feasibility, decided by non-negative least squares. Least squares takes one
+Householder QR when its R factor is certified to have full column rank
+(||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
+falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
 for zero at the input's scale, and :func:`pow2_rescale` the one exact
 rescaling. The ``dim n`` matrix text format of the command line is here too.
@@ -142,21 +145,82 @@ class LeastSquaresSolution:
 
 
 def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
-    """Least squares by LAPACK; ValueError on non-finite entries, which it cannot scale."""
+    """Least squares by LAPACK; ValueError on non-finite entries, which it cannot scale.
+
+    A tall system (m >= k >= 1) whose QR factor is certified to have full
+    column rank (see :func:`_certified_qr_solve`) is solved from one
+    Householder QR. Every other system, wide, rank deficient or too close to
+    the rank threshold, goes to ``np.linalg.lstsq`` (LAPACK's SVD-based
+    ``gelsd``), which gives the minimum-norm solution and decides
+    ``rank_deficient``. The residual is ||rows @ x - rhs||, taken after
+    :func:`pow2_rescale` so that its squares cannot overflow.
+    """
     a = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.asarray(rhs, dtype=float).reshape(-1)
-    if a.shape[0] == 0:
+    m, k = a.shape
+    if m == 0:
         raise DimensionMismatch("need at least one row")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"{a.shape[0]} rows but {b.shape[0]} right-hand sides"
-        )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if m != b.shape[0]:
+        raise DimensionMismatch(f"{m} rows but {b.shape[0]} right-hand sides")
+    ab = np.column_stack([a, b])
+    if not np.isfinite(ab).all():
         raise ValueError("least-squares system has non-finite entries")
-    x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
+    x = _certified_qr_solve(ab) if m >= k >= 1 else None
+    if x is None:
+        x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
+        rank_deficient = int(rk) < k
+    else:
+        rank_deficient = False
     r, s = pow2_rescale(a @ x - b)
     residual = math.sqrt(r @ r) * s
-    return LeastSquaresSolution(x, residual, rank_deficient=int(rk) < a.shape[1])
+    return LeastSquaresSolution(x, residual, rank_deficient)
+
+
+@cache
+def _upper_ones(k: int) -> np.ndarray:
+    """Read-only k x k ones on and above the diagonal, kept per k.
+
+    ``np.triu`` builds its mask per call, which costs as much as a small QR.
+    """
+    mask = np.triu(np.ones((k, k)))
+    mask.flags.writeable = False
+    return mask
+
+
+def _certified_qr_solve(ab: np.ndarray) -> np.ndarray | None:
+    """x = R^-1 Q^T b from one Householder QR of ab = [a | b], or None unless R is certified.
+
+    Householder QR least squares is backward stable for full-rank problems
+    (Golub & Van Loan, Matrix Computations, sec. 5.3). The certificate is
+    kappa_F = ||R||_F ||R^-1||_F <= 1e-3 / (eps max(m, k)), taken on R after
+    :func:`pow2_rescale` so that no square overflows or underflows. Since
+    sigma_max / sigma_min <= kappa_F, it gives sigma_min > 1e3 rcond sigma_max
+    for gelsd's rcond = eps max(m, k): ``lstsq`` would find full rank too.
+    One LAPACK solve of the scaled R gives both R^-1 Q^T b and R^-1.
+    """
+    m, k = ab.shape[0], ab.shape[1] - 1
+    # LAPACK's geqrf output, transposed: row j holds column j of [R | Q^T b] up to
+    # the diagonal, then the Householder vectors, which the mask zeroes.
+    h = np.linalg.qr(ab, mode="raw")[0]
+    scaled, s = pow2_rescale(h[:k, :k].T * _upper_ones(k))
+    rhs = np.eye(k, k + 1, 1)
+    rhs[:, 0] = h[k, :k]
+    try:
+        solved = np.linalg.solve(scaled, rhs)
+    except np.linalg.LinAlgError:  # R is exactly singular
+        return None
+    # A certified R_s^-1 has entries below 1e-3 / eps, so its squares stay in range;
+    # past 1e154 they overflow to inf (vdot is no ufunc and does not warn), which fails.
+    inverse = solved[:, 1:]
+    kappa = math.sqrt(np.vdot(scaled, scaled)) * math.sqrt(np.vdot(inverse, inverse))
+    if not kappa * sys.float_info.epsilon * max(m, k) <= 1e-3:
+        return None
+    x = solved[:, 0]  # s x
+    # s is a power of 2, so x / s only shifts exponents; it overflows (with a
+    # warning) only where x itself is past the float range, and lstsq decides those.
+    if not np.abs(x).max() < sys.float_info.max * min(s, 1.0):
+        return None
+    return x / s
 
 
 def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:

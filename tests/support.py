@@ -6,7 +6,9 @@ scipy's HiGHS for LPs too large to enumerate (tests using it are skipped
 without scipy), and plain numpy arithmetic for expected values. The
 ``reference_*`` functions are the probe-by-probe and pair-by-pair loops that
 the library's cached index arrays replace; results must match them exactly,
-except ``reference_reconstructed``, whose sums a matrix product reorders.
+except ``reference_reconstructed``, whose sums a matrix product reorders, and
+``reference_least_squares``, the SVD-based solve that the library keeps only
+for systems its QR path cannot certify.
 """
 
 from __future__ import annotations
@@ -221,3 +223,11 @@ def reference_reconstructed(decomposition: Decomposition, atoms) -> dict[str, fl
         for a in atoms:
             out[a] += weight * state.values[a]
     return out
+
+
+def reference_least_squares(rows, rhs) -> tuple[np.ndarray, bool]:
+    """Minimum-norm solution and rank-deficiency flag from ``np.linalg.lstsq`` (LAPACK gelsd)."""
+    a = np.atleast_2d(np.asarray(rows, dtype=float))
+    b = np.asarray(rhs, dtype=float).reshape(-1)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return x, int(rank) < a.shape[1]

@@ -87,6 +87,21 @@ class TestDiagramInvariants:
         assert check_realization(diagram, realization) == []
         assert quantum_feasibility(diagram, realization, assignment).realizable
 
+    def test_numpy_string_ids_become_str(self):
+        # np.str_ subclasses str, yet ids must come out as exactly str, in atoms and in blocks.
+        names = np.array(["a", "b", "c"])
+        for atoms, blocks in (
+            (tuple(names), (("a", "b"), ("b", "c"))),
+            (("a", "b", "c"), ((names[0], names[1]), ("b", names[2]))),
+        ):
+            diagram = GreechieDiagram(atoms, blocks)
+            assert diagram.atoms == ("a", "b", "c")
+            assert diagram.blocks == (("a", "b"), ("b", "c"))
+            ids = [*diagram.atoms, *(atom for block in diagram.blocks for atom in block)]
+            assert all(type(atom) is str for atom in ids)
+        with pytest.raises(UnknownAtom, match=r"^block references undeclared atom 'd'$"):
+            GreechieDiagram(("a", "b"), ((names[0], np.str_("d")),))
+
 
 class TestValidateState:
     def test_classical_measure_is_valid(self):
@@ -542,9 +557,24 @@ class TestQuantumFeasibility:
             assert abs(float(vec @ got @ vec) - values[atom]) <= 1e-8
 
     def test_precondition_failures_raise(self):
+        # The realization is checked first: its coverage, its orthogonality,
+        # then the assignment's coverage and its state conditions.
         diagram, realization, measure = builtin_wright_pentagon()
-        with pytest.raises(InvalidState):
-            quantum_feasibility(diagram, realization, uniform_measure(diagram, 0.3))
+        bad_state = uniform_measure(diagram, 0.3)
+        skewed = VectorRealization({**realization.vectors, "b0": realization.vectors["a0"]})
+        partial = VectorRealization({a: v for a, v in realization.vectors.items() if a != "a3"})
+        partial_state = ProbabilityAssignment(
+            {a: p for a, p in measure.values.items() if a != "a1"}
+        )
+        cases = [
+            (realization, bad_state, InvalidState, "block-sum at a0,b0,a1"),
+            (skewed, measure, InvalidRealization, r"orthogonality at a0,b0: \|<a0\|b0>\| = 1"),
+            (skewed, bad_state, InvalidRealization, "orthogonality at a0,b0"),
+            (partial, partial_state, UnknownAtom, "^realization misses atom 'a3'$"),
+        ]
+        for realization_in, assignment_in, error, message in cases:
+            with pytest.raises(error, match=message):
+                quantum_feasibility(diagram, realization_in, assignment_in)
 
 
 class TestBuiltins:

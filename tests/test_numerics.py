@@ -27,7 +27,69 @@ from support import (
     pentagon_b_vectors,
     random_orthonormal,
     random_symmetric,
+    random_unit,
+    reference_least_squares,
 )
+
+EPS = np.finfo(float).eps
+
+
+def graded_system(rng, m, k, kappa_f):
+    """m x k matrix with geometrically graded singular values and ||A||_F ||A^+||_F = kappa_f."""
+
+    def kappa_of(log_ratio):
+        sigma = np.exp(-np.linspace(0.0, log_ratio, k))
+        return math.sqrt(sigma @ sigma) * math.sqrt((1.0 / sigma) @ (1.0 / sigma)), sigma
+
+    low, high = 0.0, 200.0
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        low, high = (mid, high) if kappa_of(mid)[0] < kappa_f else (low, mid)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    return (u * kappa_of(low)[1]) @ random_orthonormal(rng, k)
+
+
+def least_squares_cases():
+    """(label, rows, rhs, path): path "qr" or "lstsq" is the solve each system must take."""
+    rng = np.random.default_rng(15)
+    cases = []
+    full_rank = []
+    for n in (3, 4, 6, 8):
+        # reconstruct_from_samples: n(n + 1) random unit probes.
+        probes = quad_coeff_row(np.array([random_unit(rng, n) for _ in range(n * (n + 1))]))
+        # quantum_feasibility: n + 1 random contexts plus the trace row.
+        contexts = np.vstack([random_orthonormal(rng, n) for _ in range(n + 1)])
+        trace_row = np.equal(*packed_index(n)).astype(float)
+        feasibility = np.vstack([quad_coeff_row(contexts), trace_row])
+        full_rank += [probes, feasibility]
+    for a in full_rank:
+        m, k = a.shape
+        cases.append((f"{m}x{k}", a, rng.standard_normal(m), "qr"))
+        x = rng.standard_normal(k)
+        for scale in (1e150, 1e-150):
+            cases.append((f"{m}x{k} rows x {scale:g}", a * scale, a @ x * scale, "qr"))
+            cases.append((f"{m}x{k} rows x {scale:g}, rhs as is", a * scale, a @ x, "qr"))
+    # Two contexts plus the trace row: in R^3, 7 rows of rank 5.
+    contexts = np.vstack([random_orthonormal(rng, 3) for _ in range(2)])
+    a = np.vstack([quad_coeff_row(contexts), np.equal(*packed_index(3))])
+    cases.append(("two contexts, 7x6 of rank 5", a, rng.uniform(0.0, 1.0, 7), "lstsq"))
+    a = rng.standard_normal((12, 5))
+    a = np.column_stack([a, a[:, 2], a[:, 0]])
+    cases.append(("duplicated columns, 12x7 of rank 5", a, rng.standard_normal(12), "lstsq"))
+    for m, k in ((12, 6), (20, 10), (73, 36)):
+        threshold = 1e-3 / (EPS * max(m, k))
+        for factor, path in ((0.9, "qr"), (1.1, "lstsq")):
+            a = graded_system(rng, m, k, factor * threshold)
+            b = a @ rng.standard_normal(k)
+            cases.append((f"{m}x{k} graded, kappa_F {factor} x the certificate", a, b, path))
+    for m, k in ((1, 2), (5, 6), (9, 10), (17, 36)):
+        a, b = rng.standard_normal((m, k)), rng.standard_normal(m)
+        cases.append((f"wide {m}x{k}", a, b, "lstsq"))
+    cases.append(("no unknowns", np.zeros((3, 0)), rng.standard_normal(3), "lstsq"))
+    a, b = np.array([[1e-300]]), np.array([1e300])
+    cases.append(("solution past the float range", a, b, "lstsq"))
+    return cases
+
 
 SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
 
@@ -256,6 +318,34 @@ class TestLeastSquares:
         rows = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 2.0)]
         fit = solve_least_squares(rows, (1e300, 0.0, 0.5))
         assert fit.residual <= 1e-14 * 1e300
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_the_lstsq_oracle(self, monkeypatch):
+        # Certified systems take one Householder QR and agree with gelsd to
+        # roundoff; every other system is gelsd's own answer, bit for bit.
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        for label, a, b, path in least_squares_cases():
+            calls.clear()
+            fit = solve_least_squares(a, b)
+            assert ("lstsq" if calls else "qr") == path, label
+            x, rank_deficient = reference_least_squares(a, b)
+            assert fit.rank_deficient == rank_deficient, label
+            if path == "lstsq":
+                assert fit.solution.tobytes() == x.tobytes(), label
+            else:
+                sigma = np.linalg.svd(a, compute_uv=False)
+                kappa = sigma[0] / sigma[-1]
+                assert np.linalg.norm(fit.solution - x) <= 1e-12 * kappa * np.linalg.norm(x), label
+            r = a @ fit.solution - b
+            # An exact power-of-2 lift keeps the squares of tiny residuals out of underflow.
+            lift = 2.0**500 if np.abs(r).max(initial=0.0) < 1e-140 else 1.0
+            assert fit.residual == float(np.linalg.norm(r * lift)) / lift, label
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
