@@ -53,7 +53,7 @@ class StateVector:
         if x.shape[0] < 1:
             raise DimensionMismatch("state vector must have dimension >= 1")
         norm = float(np.linalg.norm(x))
-        if abs(norm - 1.0) > _NORM_SLACK:
+        if not abs(norm - 1.0) <= _NORM_SLACK:
             raise NotNormalized(f"vector norm {norm:.6g} is not within 1e-6 of 1")
         x = x / norm
         x.flags.writeable = False
@@ -129,10 +129,11 @@ def mix(components: Sequence[tuple[float, DensityOperator]]) -> DensityOperator:
     if not components:
         raise BadWeights("mixture needs at least one component")
     weights = [float(w) for w, _ in components]
-    if any(w < -1e-12 for w in weights):
-        raise BadWeights(f"negative weight {min(weights)!r}")
+    negative = [w for w in weights if w < -1e-12]
+    if negative:
+        raise BadWeights(f"negative weight {min(negative)!r}")
     total = sum(weights)
-    if abs(total - 1.0) > DEFAULT_TOL:
+    if not abs(total - 1.0) <= DEFAULT_TOL:
         raise BadWeights(f"weights sum to {total!r}, not 1")
     dims = {rho.dim for _, rho in components}
     if len(dims) != 1:

@@ -112,8 +112,9 @@ def evaluate(f: FrameFunction, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != f.dim:
         raise DimensionMismatch(f"point has dimension {x.shape[0]}, form has {f.dim}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > DEFAULT_TOL:
-        raise NotUnit(f"|x| = {float(np.linalg.norm(x)):.12g} is not 1")
+    norm = math.sqrt(x @ x)
+    if not abs(norm - 1.0) <= DEFAULT_TOL:
+        raise NotUnit(f"|x| = {norm:.12g} is not 1")
     return float(x @ f.form.entries @ x)
 
 
@@ -156,38 +157,36 @@ def _probe_plan(n: int) -> np.ndarray:
 def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
     """Coefficient matrix from oracle values, by the polarization identity.
 
-    A_ii = f(e_i) and A_ij = f((e_i + e_j)/sqrt 2) - (f(e_i) + f(e_j))/2.
+    A_ii = f(e_i) and A_ij = f((e_i + e_j)/sqrt 2) - (f(e_i)/2 + f(e_j)/2).
     Ten seeded random unit probes then check the oracle against this form,
     raising NotAFrameFunction on a deviation above :func:`consistency_limit`
-    of every value the oracle gave. The dimension must be at least 2. The
-    evaluator is called once per row of the per-n probe plan, in order, and
-    gets that read-only row.
+    of every value the oracle gave; a non-finite value raises ValueError.
+    The dimension must be at least 2. The evaluator is called once per row
+    of the per-n probe plan, in order, and gets that read-only row.
     """
     n = oracle.dim
     if n < 2:
         raise DimensionMismatch("oracle dimension must be at least 2")
     plan = _probe_plan(n)
+    values = np.array([float(oracle.evaluator(x)) for x in plan])
+    if not np.isfinite(values).all():
+        raise ValueError(f"oracle value {values[~np.isfinite(values)][0]} is not finite")
     first_check = len(plan) - _ORACLE_PROBE_COUNT
-    values = [float(oracle.evaluator(x)) for x in plan[:first_check]]
-    packed = np.array(values)
     i, j = packed_index(n)
-    # Sums that overflow become inf or nan without a warning, as Python floats do;
-    # SymMatrix rejects them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        packed[n:] -= (packed[i[n:]] + packed[j[n:]]) / 2.0
-    form = SymMatrix(sym_from_packed(packed, n))
-    deviations = []
-    for x in plan[first_check:]:
-        value = float(oracle.evaluator(x))
-        values.append(value)
-        deviations.append(abs(value - float(x @ form.entries @ x)))
-    limit = consistency_limit(values)
-    for deviation in deviations:
-        if deviation > limit:
-            raise NotAFrameFunction(
-                "oracle deviates from the reconstructed quadratic form "
-                f"by {deviation:.3e} at a probe point"
-            )
+    # Halved first; a difference that still overflows is inf, refused by SymMatrix or the limit.
+    with np.errstate(over="ignore"):
+        mixed = values[n:first_check] - (values[i[n:]] / 2.0 + values[j[n:]] / 2.0)
+    form = SymMatrix(sym_from_packed(np.concatenate([values[:n], mixed]), n))
+    checks = plan[first_check:]
+    predicted = np.einsum("ki,ij,kj->k", checks, form.entries, checks)
+    with np.errstate(over="ignore"):
+        deviations = np.abs(values[first_check:] - predicted)
+    past = np.flatnonzero(deviations > consistency_limit(values))
+    if past.size:
+        raise NotAFrameFunction(
+            "oracle deviates from the reconstructed quadratic form "
+            f"by {deviations[past[0]]:.3e} at a probe point"
+        )
     return form
 
 

@@ -226,6 +226,8 @@ def validate_state(
     Conditions: every value in [0, 1] and every block summing to 1 within
     tolerance. A NaN value fails both conditions.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     return _state_violations(diagram, diagram._atom_array(assignment.values, "assignment"), tol)
 
 
@@ -318,12 +320,13 @@ def convex_decomposition(
     decided by ``lp_feasible``; None means no decomposition exists, and
     every entry's weight is above DEFAULT_TOL.
     """
-    _require(validate_state(diagram, assignment), InvalidState)
+    values = diagram._atom_array(assignment.values, "assignment")
+    _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     atoms = diagram.atoms
     states = _two_valued_rows(diagram)
     columns = np.array(states, dtype=float).reshape(len(states), len(atoms)).T
     rows = np.vstack([columns, np.ones(len(states))])
-    target = np.append(diagram._atom_array(assignment.values, "assignment"), 1.0)
+    target = np.append(values, 1.0)
     weights = lp_feasible(rows, target)
     if weights is None:
         return None
@@ -341,8 +344,8 @@ def is_polytope_vertex(
     True iff the active constraints (all block equalities plus the tight
     q(atom) = 0 bounds) have full rank over the atoms.
     """
-    _require(validate_state(diagram, assignment), InvalidState)
     values = diagram._atom_array(assignment.values, "assignment")
+    _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     tight = np.eye(len(values))[values <= tol]
     return rank(np.vstack([diagram.incidence, tight]), tol) == len(values)
 
@@ -358,6 +361,8 @@ def check_realization(
     and that no block exceeds the space dimension. Unit norm is not checked:
     ``VectorRealization`` keeps it from construction on.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
     return _realization_violations(diagram, vectors, tol)
 

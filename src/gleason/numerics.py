@@ -231,6 +231,8 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     with entries exactly 0 or above tol if max |a x - b| <= scaled_tol(tol,
     b), else None; RuntimeError if 3n steps do not settle.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = a.shape

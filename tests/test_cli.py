@@ -295,6 +295,17 @@ class TestReconstruct:
         got = np.array(verdicts(payload)["reconstructed"])
         assert np.max(np.abs(got - LARGE_FORM)) <= 1e-12 * np.max(np.abs(LARGE_FORM))
 
+    def test_diagonal_near_the_float_limit(self, capsys, tmp_path):
+        # f(e_1) + f(e_3) overflows float64; f(e_1)/2 + f(e_3)/2 does not.
+        path = tmp_path / "huge.mat"
+        path.write_text("dim 3\n1e308 0 0\n0 -1e308 0\n0 0 1e308\n")
+        lines = []
+        for command in ("signature", "reconstruct"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, err) == (EXIT_OK, "")
+            lines += [line for line in out.splitlines() if line.startswith("signature:")]
+        assert lines == ["signature: positive=2  negative=1  zero=0"] * 2
+
     def test_large_scale_probe_table(self, capsys, tmp_path):
         x = np.random.default_rng(12).standard_normal((12, 3))
         x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -37,6 +37,8 @@ class TestStateVector:
     def test_rejects_large_deviation(self):
         with pytest.raises(NotNormalized):
             StateVector(np.array([1.0, 1.0]))
+        with pytest.raises(NotNormalized):
+            StateVector(np.array([math.nan, 0.0]))
 
 
 class TestPureState:
@@ -118,6 +120,10 @@ class TestMix:
             mix([(-0.1, rho), (1.1, rho)])
         with pytest.raises(BadWeights):
             mix([])
+        with pytest.raises(BadWeights, match="weights sum to nan"):
+            mix([(math.nan, rho), (1.0, rho)])
+        with pytest.raises(BadWeights, match="negative weight -0.5"):
+            mix([(math.nan, rho), (-0.5, rho), (1.5, rho)])
 
     def test_rejects_mixed_dimensions(self):
         r2 = pure_state(StateVector(np.array([1.0, 0.0])))

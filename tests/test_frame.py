@@ -92,6 +92,8 @@ class TestEvaluate:
         f = FrameFunction(SymMatrix(np.eye(2)))
         with pytest.raises(NotUnit):
             evaluate(f, np.array([1.0, 1.0]))
+        with pytest.raises(NotUnit):
+            evaluate(f, np.array([math.nan, 0.0]))
 
 
 class TestFromDensity:
@@ -164,6 +166,20 @@ class TestReconstruct:
         with pytest.raises(NotAFrameFunction):
             reconstruct_form(FrameOracle(lambda x: 1e9 * float(x[0] ** 4), dim=3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("row", range(16))
+    def test_rejects_non_finite_value(self, bad, row):
+        # n = 3: six polarization rows, then the ten check rows.
+        calls = []
+
+        def evaluator(x):
+            calls.append(x)
+            return bad if len(calls) == row + 1 else sevenths_function(x)
+
+        with pytest.raises(ValueError, match=f"oracle value {bad} is not finite"):
+            reconstruct_form(FrameOracle(evaluator, dim=3))
+        assert len(calls) == 16
+
     def test_consistency_limit_is_absolute_up_to_one(self):
         assert consistency_limit([0.5, -1.0, 0.0]) == 1e-7
         assert consistency_limit([]) == 1e-7
@@ -226,6 +242,16 @@ class TestProbePlan:
                     assert np.array_equal(got, want)
                 assert np.array_equal(got_points, want_points)
                 assert len(got_points) == n * (n + 1) // 2 + 10
+
+    def test_deviation_past_the_float_limit(self):
+        # Form diag(-1e308, 0), then 1e308 at every check probe: some deviations overflow.
+        messages = []
+        for reconstruct in (reference_reconstruct_form, reconstruct_form):
+            values = iter([-1e308, 0.0, -0.5e308])
+            with pytest.raises(NotAFrameFunction) as raised:
+                reconstruct(FrameOracle(lambda x: next(values, 1e308), dim=2))
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_second_call_builds_no_plan(self):
         oracle = FrameOracle(sevenths_function, dim=3)

@@ -130,6 +130,12 @@ class TestValidateState:
         kinds = [v.kind for v in validate_state(diagram, nan)]
         assert kinds == ["range", "range", "block-sum"]
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_requires_positive_tol(self, tol):
+        diagram, _, measure = builtin_wright_pentagon()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate_state(diagram, measure, tol)
+
     def test_missing_atom_raises(self):
         diagram, _ = builtin_spin_half_family(1, [0.0])
         with pytest.raises(UnknownAtom):
@@ -483,6 +489,15 @@ class TestCheckRealization:
             realization.vectors["a"] = np.array([2.0, 0.0])
         assert realization.vectors["a"].tolist() == [1.0, 0.0]
         assert realization.dim == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_requires_positive_tol(self, tol):
+        # Every pair of these parallel vectors fails orthogonality; a NaN tol would pass them.
+        diagram, _, _ = builtin_wright_pentagon()
+        parallel = VectorRealization({atom: [1.0, 0.0, 0.0] for atom in diagram.atoms})
+        assert check_realization(diagram, parallel)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_realization(diagram, parallel, tol)
 
     def test_missing_vector_raises(self):
         diagram, _ = builtin_spin_half_family(1, [0.0])

@@ -370,6 +370,13 @@ class TestLpFeasible:
         assert np.array_equal(lp_feasible(a, 2.0**20 * near), 2.0**20 * x)
         assert lp_feasible(a, far) is None and lp_feasible(a, 2.0**20 * far) is None
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_requires_positive_tol(self, tol):
+        a, b = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.5, 0.5, 1.0]
+        assert lp_feasible(a, b) is not None
+        with pytest.raises(ValueError, match="tol must be positive"):
+            lp_feasible(a, b, tol)
+
     def test_negative_rhs_infeasible(self):
         assert lp_feasible([[1.0]], [-1.0]) is None
 
