@@ -36,6 +36,7 @@ from .numerics import (
     finite_float,
     packed_index,
     parse_matrix_text,
+    unit_rows,
 )
 
 EXIT_OK = 0
@@ -346,11 +347,6 @@ def _first_failure(checks) -> str | None:
     return None
 
 
-def _unit_probes(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    x = rng.standard_normal((count, n))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
 def _frame_values(f: frame.FrameFunction, x: np.ndarray) -> np.ndarray:
     """x -> x^T A x on each row of ``x``."""
     return np.einsum("ki,ij,kj->k", x, f.form.entries, x)
@@ -373,7 +369,7 @@ def _case_bell_frames(load):
         rho = density.DensityOperator(load(name))
         yield f"{name} is pure", density.purity(rho).is_pure, True, 0
         f = frame.from_density(rho)
-        x = _unit_probes(rng, 200, 4)
+        x = unit_rows(rng.standard_normal((200, 4)))
         closed_form = 0.5 * (x[:, i] + sign * x[:, j]) ** 2
         yield f"{name} frame function", _frame_values(f, x), closed_form, 1e-12
 
@@ -390,7 +386,7 @@ def _case_nonorthogonal_mixture(load):
     a = b = 0.5
     rho = density.DensityOperator(load("nonorthogonal_mixture.mat"))
     f = frame.from_density(rho)
-    x = _unit_probes(np.random.default_rng(11), 200, 3)
+    x = unit_rows(np.random.default_rng(11).standard_normal((200, 3)))
     closed_form = a * x[:, 0] ** 2 + (b / 2.0) * (x[:, 0] + x[:, 1]) ** 2
     yield "frame function", _frame_values(f, x), closed_form, 1e-12
     root = math.sqrt(0.25 - a * b / 2.0)

@@ -97,7 +97,9 @@ class Projector:
 
     def __post_init__(self) -> None:
         e = self.matrix.entries
-        if float(np.max(np.abs(e @ e - e))) > DEFAULT_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test below
+            square = e @ e
+        if not float(np.max(np.abs(square - e))) <= DEFAULT_TOL:
             raise NotAProjector("matrix is not idempotent")
         w = self.matrix.spectrum.eigenvalues
         if float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) > DEFAULT_TOL:

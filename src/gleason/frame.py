@@ -36,6 +36,7 @@ from .numerics import (
     scaled_tol,
     solve_least_squares,
     sym_from_packed,
+    unit_rows,
 )
 
 _ORACLE_PROBE_COUNT = 10
@@ -143,13 +144,8 @@ def _probe_plan(n: int) -> np.ndarray:
     """
     basis = np.eye(n)
     i, j = packed_index(n)
-    rng = np.random.default_rng(_ORACLE_PROBE_SEED)
-    checks = []
-    for _ in range(_ORACLE_PROBE_COUNT):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        checks.append(x)
-    plan = np.vstack([basis, (basis[i[n:]] + basis[j[n:]]) / math.sqrt(2.0), checks])
+    checks = np.random.default_rng(_ORACLE_PROBE_SEED).standard_normal((_ORACLE_PROBE_COUNT, n))
+    plan = np.vstack([basis, unit_rows(np.vstack([basis[i[n:]] + basis[j[n:]], checks]))])
     plan.flags.writeable = False
     return plan
 
@@ -229,10 +225,10 @@ def reconstruct_from_samples(probes, values) -> SampledReconstruction:
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     values = np.asarray(values, dtype=float).reshape(-1)
     if probes.shape[0] != values.shape[0]:
-        raise DimensionMismatch(
-            f"{probes.shape[0]} probes but {values.shape[0]} values"
-        )
-    fit = solve_least_squares(quad_coeff_row(probes), values)
+        raise DimensionMismatch(f"{probes.shape[0]} probes but {values.shape[0]} values")
+    with np.errstate(over="ignore"):  # an overflowed row is inf, which least squares refuses
+        rows = quad_coeff_row(probes)
+    fit = solve_least_squares(rows, values)
     form = SymMatrix(sym_from_packed(fit.solution, probes.shape[1]))
     return SampledReconstruction(
         frame_function=FrameFunction(form),

@@ -32,12 +32,12 @@ from .numerics import (
     finite_float,
     lp_feasible,
     packed_index,
-    pow2_rescale,
     quad_coeff_row,
     rank,
     scaled_tol,
     solve_least_squares,
     sym_from_packed,
+    unit_rows,
 )
 
 #: Residual / PSD tolerance for quantum feasibility; a decade looser than
@@ -178,31 +178,28 @@ class TwoValuedState:
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Finite, nonzero rays per atom, as read-only unit vectors after ``pow2_rescale``; dim is derived."""
+    """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived."""
 
     vectors: Mapping[str, np.ndarray]
     dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        normalized: dict[str, np.ndarray] = {}
-        dim = 0
+        rows, dim = [], 0
         for atom, vec in self.vectors.items():
             v = np.asarray(vec, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise InvalidRealization(f"vector for {atom!r} has non-finite components")
-            if dim == 0:
-                dim = v.shape[0]
-            elif v.shape[0] != dim:
+            dim = dim or v.shape[0]
+            if v.shape[0] != dim:
                 raise DimensionMismatch(
                     f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
                 )
-            v = pow2_rescale(v)[0]
-            if not (norm := math.sqrt(v @ v)):
+            if not v.any():
                 raise InvalidRealization(f"vector for {atom!r} is zero")
-            v = v / norm
-            v.flags.writeable = False
-            normalized[str(atom)] = v
-        object.__setattr__(self, "vectors", MappingProxyType(normalized))
+            rows.append(v)
+        u = unit_rows(np.array(rows).reshape(len(rows), dim))
+        u.flags.writeable = False
+        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(map(str, self.vectors), u))))
         object.__setattr__(self, "dim", dim)
 
 
@@ -546,10 +543,8 @@ def builtin_wright_pentagon() -> tuple[GreechieDiagram, VectorRealization, Proba
     atoms = tuple(f"a{i}" for i in range(5)) + tuple(f"b{i}" for i in range(5))
     blocks = tuple((f"a{i}", f"b{i}", f"a{(i + 1) % 5}") for i in range(5))
     diagram = GreechieDiagram(atoms, blocks)
-    realization = VectorRealization({k: np.array(v) for k, v in spans.items()})
-    measure = ProbabilityAssignment(
-        {f"a{i}": 0.5 for i in range(5)} | {f"b{i}": 0.0 for i in range(5)}
-    )
+    realization = VectorRealization(spans)
+    measure = ProbabilityAssignment(dict.fromkeys(atoms[:5], 0.5) | dict.fromkeys(atoms[5:], 0.0))
     return diagram, realization, measure
 
 
@@ -567,22 +562,18 @@ def builtin_spin_half_family(
     angles = [float(t) for t in directions]
     if len(angles) != n:
         raise DimensionMismatch(f"expected {n} directions, got {len(angles)}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            separation = (angles[i] - angles[j]) % math.pi
-            if min(separation, math.pi - separation) < 1e-12:
-                raise DuplicateDirection(
-                    f"directions {i + 1} and {j + 1} coincide modulo pi"
-                )
+    for i, j in itertools.combinations(range(n), 2):
+        separation = (angles[i] - angles[j]) % math.pi
+        if min(separation, math.pi - separation) < 1e-12:
+            raise DuplicateDirection(f"directions {i + 1} and {j + 1} coincide modulo pi")
     atoms: list[str] = []
     blocks: list[tuple[str, str]] = []
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, tuple[float, float]] = {}
     for i, t in enumerate(angles, 1):
         minus, plus = f"x{i}-", f"x{i}+"
         atoms += [minus, plus]
         blocks.append((minus, plus))
-        vectors[minus] = np.array([math.cos(t), math.sin(t)])
-        vectors[plus] = np.array([-math.sin(t), math.cos(t)])
+        vectors[minus], vectors[plus] = (math.cos(t), math.sin(t)), (-math.sin(t), math.cos(t))
     return GreechieDiagram(tuple(atoms), tuple(blocks)), VectorRealization(vectors)
 
 
@@ -665,7 +656,5 @@ def parse_greechie_text(text: str) -> GreechieFile:
 
     diagram = GreechieDiagram(tuple(atoms), tuple(blocks))
     assignment = ProbabilityAssignment(probs) if probs else None
-    realization = (
-        VectorRealization({k: np.array(v) for k, v in vectors.items()}) if vectors else None
-    )
+    realization = VectorRealization(vectors) if vectors else None
     return GreechieFile(diagram, assignment, realization)

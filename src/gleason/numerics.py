@@ -8,8 +8,8 @@ Householder QR when its R factor is certified to have full column rank
 (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
 falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
-for zero at the input's scale, and :func:`pow2_rescale` the one exact
-rescaling. The ``dim n`` matrix text format of the command line is here too.
+for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling and
+:func:`unit_rows` the one way rows are normalised; the ``dim n`` text format is here too.
 """
 
 from __future__ import annotations
@@ -44,11 +44,27 @@ def scaled_tol(tol: float, values) -> float:
     return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
+def _pow2_floor(peak):
+    """2^floor(log2 peak), entrywise (0.5 where peak is 0): dividing by it is exact."""
+    return np.ldexp(1.0, np.frexp(peak)[1] - 1)
+
+
 def pow2_rescale(v) -> tuple[np.ndarray, float]:
     """``(v / s, s)`` for s = 2^floor(log2 max |v|): exact, and (v / s)^2 cannot overflow."""
     v = np.asarray(v, dtype=float)
-    s = math.ldexp(1.0, math.frexp(np.abs(v).max(initial=0.0))[1] - 1)
+    s = float(_pow2_floor(np.abs(v).max(initial=0.0)))
     return v / s, s
+
+
+def unit_rows(m) -> np.ndarray:
+    """Each row of a finite k x n array with no zero row, divided by its 2-norm.
+
+    Bit for bit :func:`pow2_rescale`, then ``v / math.sqrt(v @ v)``, per row: the
+    stacked 1 x n @ n x 1 products keep one BLAS ``ddot`` per row, as ``einsum`` does not.
+    """
+    m = np.asarray(m, dtype=float)
+    u = m / _pow2_floor(np.abs(m).max(axis=1, initial=0.0))[:, None]
+    return u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

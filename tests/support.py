@@ -4,8 +4,9 @@ The oracles here are intentionally independent of the library paths they
 check: exhaustive enumeration for two-valued states and for LP feasibility,
 scipy's HiGHS for LPs too large to enumerate (tests using it are skipped
 without scipy), and plain numpy arithmetic for expected values. The
-``reference_*`` functions are the probe-by-probe and pair-by-pair loops that
-the library's cached index arrays replace; results must match them exactly,
+``reference_*`` functions are the probe-by-probe, pair-by-pair and
+vector-by-vector loops that the library's cached index arrays and batched
+rows replace; results must match them exactly,
 except ``reference_reconstructed``, whose sums a matrix product reorders, and
 ``reference_least_squares``, the SVD-based solve that the library keeps only
 for systems its QR path cannot certify.
@@ -28,6 +29,7 @@ from gleason.frame import (
     consistency_limit,
 )
 from gleason.greechie import Decomposition, ProbabilityAssignment, VectorRealization, Violation
+from gleason.numerics import pow2_rescale
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -158,6 +160,12 @@ def reference_reconstruct_form(oracle: FrameOracle) -> SymMatrix:
                 f"by {deviation:.3e} at a probe point"
             )
     return form
+
+
+def reference_unit_row(v) -> np.ndarray:
+    """One vector made unit as each atom's vector once was: exact rescale, one ``v @ v``, divide."""
+    v = pow2_rescale(v)[0]
+    return v / math.sqrt(v @ v)
 
 
 def reference_check_realization(

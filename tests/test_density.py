@@ -6,6 +6,7 @@ import pytest
 from gleason.density import (
     BadWeights,
     DensityOperator,
+    NotAProjector,
     NotNormalized,
     NotPositiveSemidefinite,
     Projector,
@@ -188,6 +189,12 @@ class TestProjector:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValueError):
             Projector(SymMatrix(np.diag([0.5, 0.5])))
+
+    @pytest.mark.parametrize("entries", [np.diag([1e200, 0.0]), [[1e200, 1e200], [1e200, -1e200]]])
+    def test_overflowing_square_is_refused_without_a_warning(self, entries):
+        # e @ e overflows (and, in the second, meets inf - inf); tier-1 runs with warnings as errors.
+        with pytest.raises(NotAProjector, match="^matrix is not idempotent$"):
+            Projector(SymMatrix(entries))
 
     def test_onto_span(self):
         e = Projector.onto([(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])

@@ -299,6 +299,11 @@ class TestReconstructFromSamples:
         with pytest.raises(DimensionMismatch):
             reconstruct_from_samples([np.array([1.0, 0.0])], [1.0, 2.0])
 
+    def test_overflowing_probe_is_refused_without_a_warning(self):
+        # (1e200)^2 overflows its row to inf; tier-1 runs with warnings as errors.
+        with pytest.raises(ValueError, match="^least-squares system has non-finite entries$"):
+            reconstruct_from_samples([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 0.0, 0.5])
+
 
 class TestSignature:
     def test_sevenths(self):

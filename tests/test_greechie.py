@@ -483,6 +483,45 @@ class TestCheckRealization:
         violations = check_realization(diagram, realization)
         assert [(v.kind, v.subject) for v in violations] == [("orthogonality", "b,c")]
 
+    @pytest.mark.parametrize(
+        "vectors, error, message",
+        [
+            (
+                {"a": [math.nan, 0.0], "b": [1.0, 0.0, 0.0]},
+                InvalidRealization,
+                "vector for 'a' has non-finite components",
+            ),
+            ({"a": [0.0, 0.0], "b": [math.inf, 1.0]}, InvalidRealization, "vector for 'a' is zero"),
+            ({"a": [], "b": [1.0, 0.0]}, InvalidRealization, "vector for 'a' is zero"),
+            (
+                {1: [1.0, 0.0], 2: [0.0, 0.0, 0.0]},
+                DimensionMismatch,
+                "vector for 2 has dimension 3, expected 2",
+            ),
+            (
+                {"a": [1.0, 0.0], "b": [math.inf, 0.0, 0.0]},
+                InvalidRealization,
+                "vector for 'b' has non-finite components",
+            ),
+        ],
+        ids=["non-finite-then-dimension", "zero-then-non-finite", "empty-first", "integer-key",
+             "non-finite-before-dimension"],
+    )
+    def test_first_failing_atom_decides(self, vectors, error, message):
+        # Across atoms the first failure wins; within one: non-finite, dimension, zero.
+        with pytest.raises(ValueError) as raised:
+            VectorRealization(vectors)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_vectors_are_rows_of_one_read_only_array(self):
+        realization = VectorRealization({"a": [3.0, 4.0], "b": (0.0, -2.0)})
+        a, b = realization.vectors["a"], realization.vectors["b"]
+        assert a.tolist() == [0.6, 0.8] and b.tolist() == [0.0, -1.0]
+        assert a.base is not None and a.base is b.base and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
     def test_vectors_cannot_be_replaced(self):
         realization = VectorRealization({"a": [3.0, 0.0], "b": [0.0, 1.0]})
         with pytest.raises(TypeError):

@@ -20,6 +20,7 @@ from gleason.numerics import (
     scaled_tol,
     solve_least_squares,
     sym_from_packed,
+    unit_rows,
 )
 from support import (
     brute_force_lp_feasible,
@@ -29,6 +30,7 @@ from support import (
     random_symmetric,
     random_unit,
     reference_least_squares,
+    reference_unit_row,
 )
 
 EPS = np.finfo(float).eps
@@ -102,6 +104,31 @@ class TestPow2Rescale:
         assert math.frexp(s)[0] == 0.5 and s <= peak < 2.0 * s
         assert np.max(np.abs(scaled)) == peak / s
         assert np.array_equal(scaled * s, v)
+
+
+class TestUnitRows:
+    """unit_rows against the per-vector path it replaces, bit for bit, sign of zero included."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_reference_per_row(self, n):
+        rng = np.random.default_rng(1800 + n)
+        scales = np.concatenate([[1e-300, 1e300, 1.0], 10.0 ** rng.uniform(-300, 300, 57)])
+        m = rng.standard_normal((len(scales), n)) * scales[:, None]
+        m[rng.random(m.shape) < 0.2] = 0.0
+        m[rng.random(m.shape) < 0.1] = -0.0
+        empty = ~m.any(axis=1)
+        m[empty, 0] = -scales[empty]  # no zero rows: unit_rows requires none
+        want = np.array([reference_unit_row(v) for v in m])
+        got = unit_rows(m)
+        assert got.shape == m.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rows_are_unit_at_the_float_limits(self):
+        tiny, huge = 5e-324, np.finfo(float).max
+        got = unit_rows([[tiny, 0.0], [huge, -huge], [-0.0, 3.0]])
+        half = 1.0 / math.sqrt(2.0)
+        assert got.tolist() == [[1.0, 0.0], [half, -half], [-0.0, 1.0]]
+        assert math.copysign(1.0, got[2, 0]) == -1.0
 
 
 class TestSymMatrix:
