@@ -269,7 +269,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
         states = greechie.enumerate_two_valued_states(diagram)
         report.add("count", len(states))
         report.add("atom_order", list(diagram.atoms))
-        report.add("states", ["".join(str(b) for b in s.bits(diagram.atoms)) for s in states])
+        report.add("states", ["".join(map(str, row)) for row in states])
         return report, EXIT_OK
 
     if args.subcommand == "decompose":
@@ -282,10 +282,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
         report.add("decomposable", True)
         report.add(
             "weights",
-            [
-                {"weight": w, "state": "".join(str(b) for b in s.bits(diagram.atoms))}
-                for w, s in result.entries
-            ],
+            [{"weight": w, "state": "".join(map(str, row))} for w, row in result.entries],
         )
         return report, EXIT_OK
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .numerics import (
     DimensionMismatch,
     SymMatrix,
     packed_index,
+    pow2_rescale,
     quad_coeff_row,
     scaled_tol,
     solve_least_squares,
@@ -82,6 +83,15 @@ class FrameFunction:
     def weight(self) -> float:
         return self.form.trace()
 
+    @cached_property
+    def _scaled_form(self) -> tuple[np.ndarray, float]:
+        """(A / s, s) for :func:`evaluate`: s = 1 (the plain product) unless it can overflow."""
+        a = self.form.entries
+        # For a unit x every partial sum of x^T A x is at most n max |A| (1 + DEFAULT_TOL)^2.
+        if math.isfinite(2.0 * len(a) * float(np.abs(a).max())):
+            return a, 1.0
+        return pow2_rescale(a)
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -116,7 +126,8 @@ def evaluate(f: FrameFunction, x) -> float:
     norm = math.sqrt(x @ x)
     if not abs(norm - 1.0) <= DEFAULT_TOL:
         raise NotUnit(f"|x| = {norm:.12g} is not 1")
-    return float(x @ f.form.entries @ x)
+    a, s = f._scaled_form
+    return float(x @ a @ x) * s
 
 
 def from_density(rho: DensityOperator) -> FrameFunction:

@@ -164,19 +164,6 @@ class ProbabilityAssignment:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoValuedState:
-    """A {0,1} assignment with exactly one 1 per block."""
-
-    values: dict[str, int]
-
-    def bits(self, atoms: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.values[a] for a in atoms)
-
-    def as_assignment(self) -> ProbabilityAssignment:
-        return ProbabilityAssignment({a: float(v) for a, v in self.values.items()})
-
-
-@dataclass(frozen=True, eq=False)
 class VectorRealization:
     """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived."""
 
@@ -255,12 +242,13 @@ def _require(violations: list[Violation], error: type[ValueError]) -> None:
         raise error("; ".join(f"{v.kind} at {v.subject}: {v.detail}" for v in violations))
 
 
-def _two_valued_rows(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
-    """All {0,1} states as value rows over ``diagram.atoms``, in lexicographic order.
+def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
+    """All {0,1} states, as tuples of ints 0 and 1 over ``diagram.atoms``, sorted.
 
-    Backtracks block by block over one row of -1 (unassigned), 0 and 1; choosing a
-    block's 1-atom sets its other unassigned atoms to 0, which propagates through
-    shared atoms. Every atom lies in some block, so no finished row keeps a -1.
+    The empty list means that no two-valued state exists. Backtracks block by
+    block over one row of -1 (unassigned), 0 and 1; choosing a block's 1-atom
+    sets its other unassigned atoms to 0, which propagates through shared
+    atoms. Every atom lies in some block, so no finished row keeps a -1.
     """
     blocks = diagram._block_positions
     row = [-1] * len(diagram.atoms)
@@ -283,28 +271,19 @@ def _two_valued_rows(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
                 row[i] = -1
 
     walk(0)
+    del walk  # its closure cell refers to it: a cycle holding found until a full collection
     return sorted(found)
-
-
-def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[TwoValuedState]:
-    """All {0,1} states, by backtracking block by block.
-
-    The states come in lexicographic order of the value tuple over the
-    diagram's atom order, and each state's values follow that order. The
-    empty list is a legitimate outcome (no two-valued state exists).
-    """
-    return [TwoValuedState(dict(zip(diagram.atoms, row))) for row in _two_valued_rows(diagram)]
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Convex weights over two-valued states reproducing a given state."""
+    """Convex weights reproducing a state, as (weight, two-valued row over the diagram's atoms)."""
 
-    entries: tuple[tuple[float, TwoValuedState], ...]
+    entries: tuple[tuple[float, tuple[int, ...]], ...]
 
     def reconstructed(self, atoms: tuple[str, ...]) -> dict[str, float]:
         weights = np.array([w for w, _ in self.entries])
-        rows = np.array([s.bits(atoms) for _, s in self.entries]).reshape(len(weights), len(atoms))
+        rows = np.array([s for _, s in self.entries]).reshape(len(weights), len(atoms))
         return dict(zip(atoms, (weights @ rows).tolist()))
 
 
@@ -319,16 +298,14 @@ def convex_decomposition(
     """
     values = diagram._atom_array(assignment.values, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
-    atoms = diagram.atoms
-    states = _two_valued_rows(diagram)
-    columns = np.array(states, dtype=float).reshape(len(states), len(atoms)).T
+    states = enumerate_two_valued_states(diagram)
+    columns = np.array(states, dtype=float).reshape(len(states), len(values)).T
     rows = np.vstack([columns, np.ones(len(states))])
     target = np.append(values, 1.0)
     weights = lp_feasible(rows, target)
     if weights is None:
         return None
-    support = [(float(w), s) for w, s in zip(weights, states) if w]
-    return Decomposition(tuple((w, TwoValuedState(dict(zip(atoms, s)))) for w, s in support))
+    return Decomposition(tuple((float(w), s) for w, s in zip(weights, states) if w))
 
 
 def is_polytope_vertex(

@@ -227,9 +227,9 @@ def reference_validate_state(
 def reference_reconstructed(decomposition: Decomposition, atoms) -> dict[str, float]:
     """Weight times state value, summed entry by entry for each atom."""
     out = {a: 0.0 for a in atoms}
-    for weight, state in decomposition.entries:
-        for a in atoms:
-            out[a] += weight * state.values[a]
+    for weight, row in decomposition.entries:
+        for a, value in zip(atoms, row):
+            out[a] += weight * value
     return out
 
 

@@ -150,7 +150,7 @@ def test_11_two_valued_enumeration_matches_brute_force(name):
     parsed = parse_greechie_text((FIXTURES / name).read_text())
     diagram = parsed.diagram
     assert len(diagram.atoms) <= 12
-    states = [s.bits(diagram.atoms) for s in enumerate_two_valued_states(diagram)]
+    states = enumerate_two_valued_states(diagram)
     assert states == brute_force_two_valued(diagram)
     expected_count = {
         "pentagon.greechie": 11,

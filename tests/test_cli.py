@@ -318,6 +318,37 @@ class TestReconstruct:
         got = np.array(verdicts(payload)["reconstructed"])
         assert np.max(np.abs(got - LARGE_FORM)) <= 1e-12 * np.max(np.abs(LARGE_FORM))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n", "probe line 1: need at least one coordinate and a value"),
+            ("# no rows\n", "empty probe table"),
+            ("1 0 1\n0 1 0 5\n", "probe lines have inconsistent column counts"),
+        ],
+        ids=["one-column", "empty", "ragged"],
+    )
+    def test_malformed_probe_table_is_parse_error(self, capsys, tmp_path, text, message):
+        table = tmp_path / "probes.txt"
+        table.write_text(text)
+        assert run(capsys, "reconstruct", str(table)) == (EXIT_PARSE, "", f"error: {message}\n")
+
+    def test_form_value_near_the_float_limit(self, tmp_path):
+        # x @ A overflows float64 at (1, 1)/sqrt 2 though the value does not; under
+        # -W error a warning would end the run in a traceback. Some check probes
+        # really are past the float range, so the oracle is refused.
+        form = tmp_path / "huge.mat"
+        form.write_text("dim 2\n1e308 1.7e308\n1.7e308 -1e308\n")
+        src = str(Path(gleason.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gleason.cli", "reconstruct", str(form)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+        assert proc.stderr == "error: oracle value -inf is not finite\n"
+
     @pytest.mark.parametrize("coordinate", ["1e200", "1e170", "-9.5e153"])
     def test_huge_probe_coordinate_is_parse_error(self, tmp_path, coordinate):
         # Such a row overflows to inf, and LAPACK has hung on it: run apart, with a timeout.
@@ -533,6 +564,41 @@ class TestGreechieCommands:
         )
         assert code == EXIT_INFEASIBLE
         assert verdicts(payload)["realizable"] is False
+
+    @pytest.mark.parametrize(
+        "probs, certificate",
+        [
+            (
+                (1, 0, 0.9, 0.1),
+                "certificate_kind: residual\n"
+                "constraint_violations:\n"
+                "  - subject=x2-  target=0.9  achieved=0.5\n"
+                "  - subject=x2+  target=0.1  achieved=0.5\n"
+                "explanation: no symmetric solution meets every constraint "
+                "(x2-: needs 0.9, best 0.5, x2+: needs 0.1, best 0.5)\n",
+            ),
+            (
+                (0.999, 0.001, 0.999, 0.001),
+                "certificate_kind: psd\n"
+                "min_eigenvalue: -0.205693\n"
+                "explanation: solution is not positive semidefinite "
+                "(minimum eigenvalue -2.057e-01)\n",
+            ),
+        ],
+        ids=["residual", "psd"],
+    )
+    def test_feasibility_certificate_text(self, capsys, tmp_path, probs, certificate):
+        lines = (FIXTURES / "fig_two_contexts_classical.greechie").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("prob ")]
+        atoms = ("x1-", "x1+", "x2-", "x2+")
+        f = tmp_path / "contexts.greechie"
+        f.write_text("\n".join(kept + [f"prob {a} {p}" for a, p in zip(atoms, probs)]) + "\n")
+        code, out, err = run(capsys, "greechie", "feasibility", str(f))
+        assert (code, err) == (EXIT_INFEASIBLE, "")
+        assert out == (
+            f"# greechie feasibility\ninput path: {f}\ninput atoms: 4\ninput blocks: 2\n"
+            "realizable: false\n" + certificate
+        )
 
     def test_feasibility_requires_vectors(self, capsys, tmp_path):
         f = tmp_path / "noprobs.greechie"

@@ -88,6 +88,23 @@ class TestEvaluate:
             x = random_unit(rng, 3)
             assert evaluate(f, x) == evaluate(f, -x)
 
+    def test_value_near_the_float_limit(self):
+        # x @ A overflows float64 here, although x^T A x does not; no warning may escape.
+        f = FrameFunction(SymMatrix([[1e308, 1.7e308], [1.7e308, -1e308]]))
+        assert evaluate(f, np.array([1.0, 1.0]) / SQ2) == 1.6999999999999997e308
+        assert evaluate(f, np.array([1.0, -1.0]) / SQ2) == -1.6999999999999997e308
+        assert evaluate(f, [1.0, 0.0]) == 1e308
+
+    def test_ordinary_forms_keep_the_plain_product(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5, 8):
+            for scale in (1e-300, 1e-6, 1.0, 1e6, 1e150):
+                a = random_symmetric(rng, n, scale)
+                f = FrameFunction(a)
+                for _ in range(10):
+                    x = random_unit(rng, n)
+                    assert evaluate(f, x) == float(x @ a.entries @ x)
+
     def test_rejects_non_unit(self):
         f = FrameFunction(SymMatrix(np.eye(2)))
         with pytest.raises(NotUnit):

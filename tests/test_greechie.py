@@ -1,9 +1,9 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from gleason import greechie
 from gleason.greechie import (
     Decomposition,
     DuplicateDirection,
@@ -12,7 +12,6 @@ from gleason.greechie import (
     InvalidRealization,
     InvalidState,
     ProbabilityAssignment,
-    TwoValuedState,
     UnknownAtom,
     VectorRealization,
     builtin_spin_half_family,
@@ -58,6 +57,11 @@ def uniform_measure(diagram, value=0.5):
     return ProbabilityAssignment({a: value for a in diagram.atoms})
 
 
+def as_assignment(diagram, row):
+    """A two-valued state row as the assignment it stands for."""
+    return ProbabilityAssignment(dict(zip(diagram.atoms, row)))
+
+
 class TestDiagramInvariants:
     def test_rejects_small_block(self):
         with pytest.raises(ValueError, match="fewer than 2"):
@@ -74,6 +78,10 @@ class TestDiagramInvariants:
     def test_rejects_uncovered_atom(self):
         with pytest.raises(ValueError, match="no block"):
             GreechieDiagram(("a", "b", "c"), (("a", "b"),))
+
+    def test_rejects_duplicate_atom_id(self):
+        with pytest.raises(ValueError, match="^duplicate atom id$"):
+            GreechieDiagram(("a", "a"), (("a", "b"),))
 
     def test_non_string_atom_ids_match_assignment_keys(self):
         # Assignments and realizations key atoms by str; the diagram must too.
@@ -203,7 +211,7 @@ class TestTwoValuedEnumeration:
         diagram = GreechieDiagram(("a", "b", "c"), (("a", "b", "c"),))
         states = enumerate_two_valued_states(diagram)
         assert len(states) == 3
-        assert [s.bits(diagram.atoms) for s in states] == [
+        assert states == [
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
@@ -218,8 +226,8 @@ class TestTwoValuedEnumeration:
 
     def test_every_state_is_a_valid_measure(self):
         diagram, _, _ = builtin_wright_pentagon()
-        for state in enumerate_two_valued_states(diagram):
-            assert validate_state(diagram, state.as_assignment()) == []
+        for row in enumerate_two_valued_states(diagram):
+            assert validate_state(diagram, as_assignment(diagram, row)) == []
 
     @pytest.mark.parametrize(
         "diagram",
@@ -241,9 +249,18 @@ class TestTwoValuedEnumeration:
     )
     def test_agrees_with_exhaustive_enumeration(self, diagram):
         states = enumerate_two_valued_states(diagram)
-        bits = [s.bits(diagram.atoms) for s in states]
-        assert bits == brute_force_two_valued(diagram)
-        assert bits == sorted(bits)
+        assert states == brute_force_two_valued(diagram)
+        assert states == sorted(states)
+        assert all(type(bit) is int for row in states for bit in row)
+
+    def test_leaves_no_garbage_cycle(self):
+        # The backtracker's recursive closure must not keep its rows alive until a full collection.
+        diagram, _ = builtin_spin_half_family(3, [0.0, 0.5, 1.0])
+        gc.collect()
+        enumerate_two_valued_states(diagram)
+        assert gc.collect() == 0
+        convex_decomposition(diagram, uniform_measure(diagram))
+        assert gc.collect() == 0
 
 
 class TestConvexDecomposition:
@@ -253,9 +270,9 @@ class TestConvexDecomposition:
         result = convex_decomposition(diagram, measure)
         assert result is not None
         assert len(result.entries) == 1
-        weight, state = result.entries[0]
+        weight, row = result.entries[0]
         assert abs(weight - 1.0) <= 1e-9
-        assert state.as_assignment().values == measure.values
+        assert as_assignment(diagram, row).values == measure.values
 
     def test_uniform_measure_witness_resubstitutes(self):
         diagram, _ = builtin_spin_half_family(2, [0.0, 0.7])
@@ -277,19 +294,14 @@ class TestConvexDecomposition:
         rebuilt = result.reconstructed(diagram.atoms)
         assert max(abs(rebuilt[a] - 0.5) for a in diagram.atoms) <= 1e-9
 
-    def test_builds_state_objects_only_for_the_support(self, monkeypatch):
+    def test_keeps_only_the_support(self):
         # 2^10 two-valued states; the weights that reach the result are few.
-        built = []
-
-        def counting(values):
-            built.append(values)
-            return TwoValuedState(values)
-
         diagram, _ = builtin_spin_half_family(10, [i * math.pi / 20 for i in range(10)])
-        monkeypatch.setattr(greechie, "TwoValuedState", counting)
         result = convex_decomposition(diagram, uniform_measure(diagram))
         assert result is not None
-        assert len(built) == len(result.entries) < 2**10
+        states = set(enumerate_two_valued_states(diagram))
+        assert all(w > 0 and row in states for w, row in result.entries)
+        assert len(result.entries) < 2**10
 
     def test_agrees_with_highs_on_random_diagrams(self):
         # Measures mix 1/|block| on every atom with a random mixture of
@@ -302,7 +314,7 @@ class TestConvexDecomposition:
             size = len(diagram.blocks[0])
             weights = rng.random(len(states)) * (rng.random(len(states)) < 0.5)
             weights /= max(weights.sum(), 1.0)
-            columns = np.array([[s.values[a] for s in states] for a in diagram.atoms])
+            columns = np.array(states).reshape(len(states), len(diagram.atoms)).T
             probs = (1.0 - weights.sum()) / size + columns @ weights
             p = dict(zip(diagram.atoms, probs))
             result = convex_decomposition(diagram, ProbabilityAssignment(p))
@@ -342,11 +354,11 @@ class TestPolytopeVertex:
 
     def test_two_valued_states_are_vertices(self):
         diagram, _, _ = builtin_wright_pentagon()
-        for state in enumerate_two_valued_states(diagram):
-            assert is_polytope_vertex(diagram, state.as_assignment())
+        for row in enumerate_two_valued_states(diagram):
+            assert is_polytope_vertex(diagram, as_assignment(diagram, row))
         spin, _ = builtin_spin_half_family(2, [0.0, 0.7])
-        for state in enumerate_two_valued_states(spin):
-            assert is_polytope_vertex(spin, state.as_assignment())
+        for row in enumerate_two_valued_states(spin):
+            assert is_polytope_vertex(spin, as_assignment(spin, row))
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_ngon_half_measure(self, n):
@@ -409,7 +421,7 @@ class TestIndexArrays:
     def test_validate_state_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         diagram = shuffled(rng, random_diagram(rng))
-        states = [s.as_assignment() for s in enumerate_two_valued_states(diagram)[:3]]
+        states = [as_assignment(diagram, row) for row in enumerate_two_valued_states(diagram)[:3]]
         for _ in range(3):
             values = rng.choice([0.0, 0.5, 1.0, -0.2, 1.3, rng.random()], size=len(diagram.atoms))
             states.append(ProbabilityAssignment(dict(zip(diagram.atoms, values))))
@@ -425,7 +437,7 @@ class TestIndexArrays:
         states = enumerate_two_valued_states(diagram)
         weights = rng.random(len(states))
         decomposition = Decomposition(tuple(zip((weights / weights.sum()).tolist(), states)))
-        atoms = tuple(rng.permutation(diagram.atoms).tolist())
+        atoms = diagram.atoms
         want = reference_reconstructed(decomposition, atoms)
         got = decomposition.reconstructed(atoms)
         assert list(got) == list(atoms)
@@ -698,6 +710,10 @@ class TestParser:
         "text,message",
         [
             ("atom a\natom a\nblock a a\n", "duplicate atom"),
+            ("atom a b\n", "atom takes exactly one id"),
+            ("atom a\natom b\nblock a b a\n", "block repeats an atom"),
+            ("atom a\natom b\nblock a b\nprob a\n", "prob takes an id and a value"),
+            ("atom a\natom b\nblock a b\nvec a\n", "vec takes an id and components"),
             ("atom a\nblock a\n", "at least 2"),
             ("atom a\natom b\nblock a c\n", "unknown atom"),
             ("atom a\natom b\nblock a b\nprob c 1\n", "unknown atom"),
@@ -720,9 +736,3 @@ class TestParser:
         with pytest.raises(ValueError, match="no block") as info:
             parse_greechie_text("atom a\natom b\natom c\nblock a b\n")
         assert not isinstance(info.value, GreechieFormatError)
-
-
-class TestTwoValuedStateType:
-    def test_as_assignment(self):
-        state = TwoValuedState({"a": 1, "b": 0})
-        assert state.as_assignment().values == {"a": 1.0, "b": 0.0}

@@ -420,7 +420,7 @@ class TestLpFeasible:
         diagram, _, measure = builtin_wright_pentagon()
         states = enumerate_two_valued_states(diagram)
         assert len(states) == 11
-        a = np.array([[s.values[atom] for s in states] for atom in diagram.atoms])
+        a = np.array(states).T
         rows = np.vstack([a, np.ones(len(states))])
         rhs = np.array([measure.values[atom] for atom in diagram.atoms] + [1.0])
         assert lp_feasible(rows, rhs) is None
