@@ -85,12 +85,8 @@ class FrameFunction:
 
     @cached_property
     def _scaled_form(self) -> tuple[np.ndarray, float]:
-        """(A / s, s) for :func:`evaluate`: s = 1 (the plain product) unless it can overflow."""
-        a = self.form.entries
-        # For a unit x every partial sum of x^T A x is at most n max |A| (1 + DEFAULT_TOL)^2.
-        if math.isfinite(2.0 * len(a) * float(np.abs(a).max())):
-            return a, 1.0
-        return pow2_rescale(a)
+        """:func:`pow2_rescale` of A for :func:`evaluate`: exact, so x^T A x overflows only past the float range."""
+        return pow2_rescale(self.form.entries)
 
 
 @dataclass(frozen=True)

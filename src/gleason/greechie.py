@@ -282,6 +282,7 @@ class Decomposition:
     entries: tuple[tuple[float, tuple[int, ...]], ...]
 
     def reconstructed(self, atoms: tuple[str, ...]) -> dict[str, float]:
+        """Sum of weight * row per atom; ``atoms`` must be ``diagram.atoms``, in its order."""
         weights = np.array([w for w, _ in self.entries])
         rows = np.array([s for _, s in self.entries]).reshape(len(weights), len(atoms))
         return dict(zip(atoms, (weights @ rows).tolist()))
