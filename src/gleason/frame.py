@@ -176,13 +176,13 @@ def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
         raise ValueError(f"oracle value {values[~np.isfinite(values)][0]} is not finite")
     first_check = len(plan) - _ORACLE_PROBE_COUNT
     i, j = packed_index(n)
-    # Halved first; a difference that still overflows is inf, refused by SymMatrix or the limit.
+    # Halved first; a difference that still overflows is inf, refused by SymMatrix or the
+    # limit. SymMatrix does no arithmetic on inf, and einsum is no ufunc: neither warns.
     with np.errstate(over="ignore"):
         mixed = values[n:first_check] - (values[i[n:]] / 2.0 + values[j[n:]] / 2.0)
-    form = SymMatrix(sym_from_packed(np.concatenate([values[:n], mixed]), n))
-    checks = plan[first_check:]
-    predicted = np.einsum("ki,ij,kj->k", checks, form.entries, checks)
-    with np.errstate(over="ignore"):
+        form = SymMatrix(sym_from_packed(np.concatenate([values[:n], mixed]), n))
+        checks = plan[first_check:]
+        predicted = np.einsum("ki,ij,kj->k", checks, form.entries, checks)
         deviations = np.abs(values[first_check:] - predicted)
     past = np.flatnonzero(deviations > consistency_limit(values))
     if past.size:

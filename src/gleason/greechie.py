@@ -150,6 +150,12 @@ class GreechieDiagram:
             raise UnknownAtom(f"{what} names undeclared atom {extra!r}")
         return np.array(values).reshape(len(values), *shape)
 
+    def _vectors(self, realization: "VectorRealization") -> np.ndarray:
+        """The realization's unit rows in ``atoms`` order: its own array when it is keyed so."""
+        if realization._atoms == self.atoms:
+            return realization._rows
+        return self._atom_array(realization.vectors, "realization", (realization.dim,))
+
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityAssignment:
@@ -165,29 +171,55 @@ class ProbabilityAssignment:
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived."""
+    """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived.
+
+    The rows stay one array, in the order of the keys, which the checks read
+    as it is when that order is the diagram's.
+    """
 
     vectors: Mapping[str, np.ndarray]
     dim: int = field(init=False)
+    _atoms: tuple[str, ...] = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows, dim = [], 0
-        for atom, vec in self.vectors.items():
-            v = np.asarray(vec, dtype=float).reshape(-1)
-            if not np.isfinite(v).all():
-                raise InvalidRealization(f"vector for {atom!r} has non-finite components")
-            dim = dim or v.shape[0]
-            if v.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
-                )
-            if not v.any():
-                raise InvalidRealization(f"vector for {atom!r} is zero")
-            rows.append(v)
-        u = unit_rows(np.array(rows).reshape(len(rows), dim))
+        rows = []
+        for vec in self.vectors.values():
+            try:
+                rows.append(np.asarray(vec, dtype=float).reshape(-1))
+            except (TypeError, ValueError, OverflowError):
+                _require_valid_vectors(self.vectors, rows)  # an earlier atom's failure comes first
+                raise
+        dim = rows[0].shape[0] if rows else 0
+        same_dim = all(v.shape[0] == dim for v in rows)
+        stacked = np.array(rows).reshape(len(rows), dim) if same_dim else None
+        if stacked is None or not (np.isfinite(stacked).all() and stacked.any(axis=1).all()):
+            _require_valid_vectors(self.vectors, rows)
+        u = unit_rows(stacked)
         u.flags.writeable = False
-        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(map(str, self.vectors), u))))
+        atoms = tuple(map(str, self.vectors))
+        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(atoms, u))))
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_rows", u)
+
+
+def _require_valid_vectors(vectors: Mapping, rows: list[np.ndarray]) -> None:
+    """Raise for the first of ``rows`` (one per key of ``vectors``) that is not a valid ray.
+
+    Within one atom: non-finite, then a dimension other than the first row's, then zero.
+    """
+    dim = 0
+    for atom, v in zip(vectors, rows):
+        if not np.isfinite(v).all():
+            raise InvalidRealization(f"vector for {atom!r} has non-finite components")
+        dim = dim or v.shape[0]
+        if v.shape[0] != dim:
+            raise DimensionMismatch(
+                f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
+            )
+        if not v.any():
+            raise InvalidRealization(f"vector for {atom!r} is zero")
 
 
 @dataclass(frozen=True)
@@ -217,14 +249,14 @@ def validate_state(
 
 def _state_violations(diagram: GreechieDiagram, values: np.ndarray, tol: float) -> list[Violation]:
     """``validate_state`` on the assignment's atom-order array."""
-    values = values.tolist()
+    values, high = values.tolist(), 1.0 + tol
     violations = [
         Violation("range", atom, f"value {value!r} outside [0, 1]", value)
         for atom, value in zip(diagram.atoms, values)
-        if not -tol <= value <= 1.0 + tol
+        if not -tol <= value <= high
     ]
     for block, where in zip(diagram.blocks, diagram._block_positions):
-        total = math.fsum(values[i] for i in where)
+        total = math.fsum(itemgetter(*where)(values))  # blocks have at least 2 atoms
         if not abs(total - 1.0) <= tol:
             violations.append(
                 Violation(
@@ -277,12 +309,18 @@ def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Convex weights reproducing a state, as (weight, two-valued row over the diagram's atoms)."""
+    """Convex weights reproducing a state, as (weight, two-valued row over ``atoms``).
+
+    ``atoms`` is the diagram's atom order, which every row follows.
+    """
 
     entries: tuple[tuple[float, tuple[int, ...]], ...]
+    atoms: tuple[str, ...]
 
     def reconstructed(self, atoms: tuple[str, ...]) -> dict[str, float]:
-        """Sum of weight * row per atom; ``atoms`` must be ``diagram.atoms``, in its order."""
+        """Sum of weight * row per atom; ValueError unless ``atoms`` is ``self.atoms``, in order."""
+        if tuple(atoms) != self.atoms:
+            raise ValueError(f"atoms must be the decomposition's, in its order: {self.atoms}")
         weights = np.array([w for w, _ in self.entries])
         rows = np.array([s for _, s in self.entries]).reshape(len(weights), len(atoms))
         return dict(zip(atoms, (weights @ rows).tolist()))
@@ -306,7 +344,8 @@ def convex_decomposition(
     weights = lp_feasible(rows, target)
     if weights is None:
         return None
-    return Decomposition(tuple((float(w), s) for w, s in zip(weights, states) if w))
+    entries = tuple((float(w), s) for w, s in zip(weights, states) if w)
+    return Decomposition(entries, diagram.atoms)
 
 
 def is_polytope_vertex(
@@ -338,8 +377,7 @@ def check_realization(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    vectors = diagram._atom_array(realization.vectors, "realization", (realization.dim,))
-    return _realization_violations(diagram, vectors, tol)
+    return _realization_violations(diagram, diagram._vectors(realization), tol)
 
 
 def _realization_violations(
@@ -348,7 +386,7 @@ def _realization_violations(
     """``check_realization`` on the realization's atoms x dim array of unit vectors."""
     dim = vectors.shape[1]
     first, second, block_of = diagram._block_pairs
-    dots = np.abs(vectors @ vectors.T)[first, second]
+    dots = abs((vectors @ vectors.T)[first, second])
     # (block, -1) for an oversized block sorts before (block, pair) for its pairs.
     failures = [(b, -1) for b, block in enumerate(diagram.blocks) if len(block) > dim]
     failures += [(int(block_of[k]), int(k)) for k in (dots > tol).nonzero()[0]]
@@ -432,7 +470,7 @@ def quantum_feasibility(
     against positive semidefiniteness (eigenvalue floor -1e-8).
     """
     n = realization.dim
-    vectors = diagram._atom_array(realization.vectors, "realization", (n,))
+    vectors = diagram._vectors(realization)
     _require(_realization_violations(diagram, vectors, DEFAULT_TOL), InvalidRealization)
     probs = diagram._atom_array(assignment.values, "assignment")
     _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
@@ -448,14 +486,14 @@ def quantum_feasibility(
                 certificate=InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank),
             )
         basis = dec.eigenvectors[:, kernel_rank:]
-        points = vectors[~zero] @ basis
+        points, targets = vectors[~zero] @ basis, probs[~zero]
     else:
-        basis, points = None, vectors
+        basis, points, targets = None, vectors, probs
     m = points.shape[1]
 
     trace_row = np.equal(*packed_index(m))  # 1 on the packed diagonal
-    rows = np.vstack([quad_coeff_row(points), trace_row])
-    fit = solve_least_squares(rows, np.append(probs[~zero], 1.0))
+    rows = np.concatenate((quad_coeff_row(points), trace_row[None]))
+    fit = solve_least_squares(rows, np.concatenate((targets, (1.0,))))
     rho = sym_from_packed(fit.solution, m)
     if basis is not None:
         rho = basis @ rho @ basis.T
@@ -484,10 +522,10 @@ def quantum_feasibility(
             certificate=InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue),
         )
     # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
-    clamped = np.clip(spectrum.eigenvalues, 0.0, None)
+    clamped = np.maximum(spectrum.eigenvalues, 0.0)
     cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
     cleaned = (cleaned + cleaned.T) / 2.0
-    cleaned /= np.trace(cleaned)
+    cleaned /= cleaned.trace()
     violations = constraint_violations(cleaned)
     if violations:
         return QuantumFeasibility(

@@ -50,9 +50,12 @@ def _pow2_floor(peak):
 
 
 def pow2_rescale(v) -> tuple[np.ndarray, float]:
-    """``(v / s, s)`` for s = 2^floor(log2 max |v|): exact, and (v / s)^2 cannot overflow."""
+    """``(v / s, s)`` for s = 2^floor(log2 max |v|): exact, and (v / s)^2 cannot overflow.
+
+    ``s`` is :func:`_pow2_floor` of the peak, taken with ``math`` on one float.
+    """
     v = np.asarray(v, dtype=float)
-    s = float(_pow2_floor(np.abs(v).max(initial=0.0)))
+    s = math.ldexp(0.5, math.frexp(np.abs(v).max(initial=0.0))[1])
     return v / s, s
 
 
@@ -87,10 +90,10 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatch("matrix must have dimension >= 1")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         a *= 0.5  # halved first: a - a^T and a + a^T overflow near the float limit
-        asym = 2.0 * float(np.max(np.abs(a - a.T)))
+        asym = 2.0 * float(abs(a - a.T).max())
         if asym > _ASYMMETRY_LIMIT:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
         a = a + a.T
@@ -108,7 +111,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return float(self.entries.trace())
 
     @cached_property
     def spectrum(self) -> "EigenDecomposition":
@@ -178,7 +181,7 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
         raise DimensionMismatch("need at least one row")
     if m != b.shape[0]:
         raise DimensionMismatch(f"{m} rows but {b.shape[0]} right-hand sides")
-    ab = np.column_stack([a, b])
+    ab = np.concatenate((a, b[:, None]), axis=1)
     if not np.isfinite(ab).all():
         raise ValueError("least-squares system has non-finite entries")
     x = _certified_qr_solve(ab) if m >= k >= 1 else None
@@ -219,12 +222,16 @@ def _certified_qr_solve(ab: np.ndarray) -> np.ndarray | None:
     # the diagonal, then the Householder vectors, which the mask zeroes.
     h = np.linalg.qr(ab, mode="raw")[0]
     scaled, s = pow2_rescale(h[:k, :k].T * _upper_ones(k))
+    # ||R_s||_F >= max |r_ii| and ||R_s^-1||_F >= max 1 / |r_ii|, the diagonal of the
+    # triangular inverse, so kappa_F >= high * (1 / low): rounded alike, this rejects
+    # only what the kappa test below would, and exactly singular R before the solve.
+    diagonal = abs(scaled.diagonal()).tolist()
+    low, high = min(diagonal), max(diagonal)
+    if not (low > 0.0 and high * (1.0 / low) * sys.float_info.epsilon * max(m, k) <= 1e-3):
+        return None
     rhs = np.eye(k, k + 1, 1)
     rhs[:, 0] = h[k, :k]
-    try:
-        solved = np.linalg.solve(scaled, rhs)
-    except np.linalg.LinAlgError:  # R is exactly singular
-        return None
+    solved = np.linalg.solve(scaled, rhs)
     # A certified R_s^-1 has entries below 1e-3 / eps, so its squares stay in range;
     # past 1e154 they overflow to inf (vdot is no ufunc and does not warn), which fails.
     inverse = solved[:, 1:]
@@ -330,8 +337,9 @@ def quad_coeff_row(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     i, j = packed_index(x.shape[-1])
-    # C order, as for rows stacked one by one, so that products round alike.
-    row = np.multiply(x[..., i], x[..., j], order="C")
+    # C order, as for rows stacked one by one, so that BLAS sums the rows alike.
+    row = x.take(i, axis=-1)
+    row *= x.take(j, axis=-1)
     row[..., x.shape[-1] :] *= 2.0
     return row
 
@@ -343,10 +351,23 @@ def sym_from_packed(values, n: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {n * (n + 1) // 2} packed entries, got {values.shape[0]}"
         )
+    a = np.zeros(n * n)
+    for flat in _flat_index(n):
+        a[flat] = values
+    return a.reshape(n, n)
+
+
+@cache
+def _flat_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a flat n x n array of (row, col) and of (col, row) per packed entry.
+
+    Kept per n and read-only: one flat assignment costs less than one indexed by two arrays.
+    """
     i, j = packed_index(n)
-    a = np.zeros((n, n))
-    a[i, j] = a[j, i] = values
-    return a
+    index = i * n + j, j * n + i
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def finite_float(token: str) -> float:

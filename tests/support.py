@@ -28,8 +28,14 @@ from gleason.frame import (
     NotAFrameFunction,
     consistency_limit,
 )
-from gleason.greechie import Decomposition, ProbabilityAssignment, VectorRealization, Violation
-from gleason.numerics import pow2_rescale
+from gleason.greechie import (
+    Decomposition,
+    InvalidRealization,
+    ProbabilityAssignment,
+    VectorRealization,
+    Violation,
+)
+from gleason.numerics import DimensionMismatch, pow2_rescale
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -166,6 +172,27 @@ def reference_unit_row(v) -> np.ndarray:
     """One vector made unit as each atom's vector once was: exact rescale, one ``v @ v``, divide."""
     v = pow2_rescale(v)[0]
     return v / math.sqrt(v @ v)
+
+
+def reference_vector_failure(vectors) -> tuple[type, str] | None:
+    """Type and message of the first invalid vector, atom by atom, as ``VectorRealization`` raises.
+
+    Within one atom: unconvertible, non-finite, a dimension other than the first's, then zero.
+    """
+    dim = 0
+    for atom, vec in vectors.items():
+        try:
+            v = np.asarray(vec, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        if not np.isfinite(v).all():
+            return InvalidRealization, f"vector for {atom!r} has non-finite components"
+        dim = dim or v.shape[0]
+        if v.shape[0] != dim:
+            return DimensionMismatch, f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
+        if not v.any():
+            return InvalidRealization, f"vector for {atom!r} is zero"
+    return None
 
 
 def reference_check_realization(

@@ -28,10 +28,14 @@ from gleason.numerics import DEFAULT_TOL, DimensionMismatch
 from support import (
     brute_force_two_valued,
     highs_lp_feasible,
+    random_density,
     random_diagram,
+    random_orthonormal,
+    random_symmetric,
     reference_check_realization,
     reference_reconstructed,
     reference_validate_state,
+    reference_vector_failure,
 )
 
 TRIANGLE = GreechieDiagram(
@@ -285,6 +289,18 @@ class TestConvexDecomposition:
         for atom in diagram.atoms:
             assert abs(rebuilt[atom] - 0.5) <= 1e-8
 
+    def test_reconstructed_refuses_another_atom_order(self):
+        # Rows carry no atom names: read in reversed order they put x1-'s 0 under x2+.
+        diagram, _ = builtin_spin_half_family(2, [0.0, 0.7])
+        measure = ProbabilityAssignment(dict(zip(diagram.atoms, (1.0, 0.0, 0.3, 0.7))))
+        result = convex_decomposition(diagram, measure)
+        assert result.atoms == diagram.atoms
+        rebuilt = result.reconstructed(list(diagram.atoms))
+        assert max(abs(rebuilt[a] - measure.values[a]) for a in diagram.atoms) <= 1e-9
+        for atoms in (tuple(reversed(diagram.atoms)), diagram.atoms[:2]):
+            with pytest.raises(ValueError, match="atoms must be the decomposition's"):
+                result.reconstructed(atoms)
+
     def test_all_half_measure_on_fourteen_contexts(self):
         # 2^14 two-valued states: an LP with 16384 columns and 29 rows.
         diagram, _ = builtin_spin_half_family(14, [i * math.pi / 28 for i in range(14)])
@@ -436,8 +452,8 @@ class TestIndexArrays:
         diagram = shuffled(rng, random_diagram(rng))
         states = enumerate_two_valued_states(diagram)
         weights = rng.random(len(states))
-        decomposition = Decomposition(tuple(zip((weights / weights.sum()).tolist(), states)))
         atoms = diagram.atoms
+        decomposition = Decomposition(tuple(zip((weights / weights.sum()).tolist(), states)), atoms)
         want = reference_reconstructed(decomposition, atoms)
         got = decomposition.reconstructed(atoms)
         assert list(got) == list(atoms)
@@ -515,9 +531,22 @@ class TestCheckRealization:
                 InvalidRealization,
                 "vector for 'b' has non-finite components",
             ),
+            (
+                {"a": [1.0, 0.0], "b": [0.0, 0.0, 0.0]},
+                DimensionMismatch,
+                "vector for 'b' has dimension 3, expected 2",
+            ),
+            (
+                {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [math.nan, 1.0, 2.0]},
+                InvalidRealization,
+                "vector for 'b' is zero",
+            ),
+            ({"a": [0.0, 0.0], "b": "one"}, InvalidRealization, "vector for 'a' is zero"),
+            ({"a": [1.0, 0.0], "b": "one"}, ValueError, "could not convert string to float: 'one'"),
         ],
         ids=["non-finite-then-dimension", "zero-then-non-finite", "empty-first", "integer-key",
-             "non-finite-before-dimension"],
+             "non-finite-before-dimension", "dimension-before-zero", "zero-before-later-faults",
+             "zero-before-unconvertible", "unconvertible"],
     )
     def test_first_failing_atom_decides(self, vectors, error, message):
         # Across atoms the first failure wins; within one: non-finite, dimension, zero.
@@ -525,6 +554,29 @@ class TestCheckRealization:
             VectorRealization(vectors)
         assert type(raised.value) is error
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_failures_match_the_atom_by_atom_walk(self, seed):
+        # The stacked checks find that some atom fails; the walk must name the same one.
+        rng = np.random.default_rng(seed)
+        faults = [[0.0, 0.0], [math.nan, 1.0], [1.0, -math.inf], [1.0, 2.0, 3.0], [], [[1.0]],
+                  "one", [10**400, 1.0]]
+        for _ in range(50):
+            vectors = {}
+            for k in range(rng.integers(1, 7)):
+                vectors[f"v{k}"] = (
+                    faults[rng.integers(len(faults))] if rng.random() < 0.15
+                    else rng.standard_normal(2).tolist()
+                )
+            want = reference_vector_failure(vectors)
+            if want is None:
+                realization = VectorRealization(vectors)
+                first = np.ravel(next(iter(vectors.values())))
+                assert realization.dim == len(first) and list(realization.vectors) == list(vectors)
+                continue
+            with pytest.raises((ValueError, OverflowError)) as raised:
+                VectorRealization(vectors)
+            assert (type(raised.value), str(raised.value)) == want
 
     def test_vectors_are_rows_of_one_read_only_array(self):
         realization = VectorRealization({"a": [3.0, 4.0], "b": (0.0, -2.0)})
@@ -621,6 +673,45 @@ class TestQuantumFeasibility:
         got = verdict.density.matrix.entries
         for atom, vec in realization.vectors.items():
             assert abs(float(vec @ got @ vec) - values[atom]) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_shuffled_keys_give_the_same_bits(self, n):
+        # Keys in atom order hand the realization's own rows to the checks; any other
+        # order gathers them by atom. Densities and certificates must not tell them apart.
+        rng = np.random.default_rng(200 + n)
+        eye = np.eye(n)
+        basis = random_orthonormal(rng, n)
+        indefinite = basis.T @ np.diag(np.append(np.full(n - 1, 1.2 / (n - 1)), -0.2)) @ basis
+        kinds = set()
+        for contexts in (2, n + 1):
+            # A mixed state, a pure state with zero-probability atoms, an indefinite
+            # matrix, and a classical measure (1 on each context's first atom).
+            for measured in (random_density(rng, n).matrix.entries, np.diag(eye[0]),
+                             (indefinite + indefinite.T) / 2.0, None):
+                bases, q = [], eye  # the eye basis first, where it gives probabilities
+                while len(bases) < contexts:
+                    if measured is None or np.all(np.abs(np.einsum(
+                            "ki,ij,kj->k", q, measured, q) - 0.5) <= 0.5):
+                        bases.append(q)
+                    q = random_orthonormal(rng, n)
+                atoms = [f"c{c}.{i}" for c in range(contexts) for i in range(n)]
+                blocks = [tuple(atoms[c * n:(c + 1) * n]) for c in range(contexts)]
+                rows = np.vstack(bases)
+                probs = (np.einsum("ki,ij,kj->k", rows, measured, rows) if measured is not None
+                         else np.tile(eye[0], contexts))
+                diagram = GreechieDiagram(tuple(atoms), tuple(blocks))
+                state = ProbabilityAssignment(dict(zip(atoms, probs.tolist())))
+                verdicts = []
+                for order in (np.arange(len(atoms)), rng.permutation(len(atoms))):
+                    realization = VectorRealization({atoms[k]: rows[k] for k in order})
+                    in_order = order.tolist() == sorted(order.tolist())
+                    assert (realization._atoms == diagram.atoms) == in_order
+                    verdict = quantum_feasibility(diagram, realization, state)
+                    density = verdict.density and verdict.density.matrix.entries.tobytes()
+                    verdicts.append((verdict.realizable, density, repr(verdict.certificate)))
+                assert verdicts[0] == verdicts[1]
+                kinds.add(verdict.certificate.kind if verdict.certificate else "realizable")
+        assert {"realizable", "kernel-rank", "psd"} <= kinds
 
     def test_precondition_failures_raise(self):
         # The realization is checked first: its coverage, its orthogonality,

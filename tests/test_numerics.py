@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gleason.numerics import (
+    _pow2_floor,
     DimensionMismatch,
     LinearlyDependent,
     MatrixFormatError,
@@ -104,6 +105,25 @@ class TestPow2Rescale:
         assert math.frexp(s)[0] == 0.5 and s <= peak < 2.0 * s
         assert np.max(np.abs(scaled)) == peak / s
         assert np.array_equal(scaled * s, v)
+
+
+    def test_matches_the_array_rule_bit_for_bit(self):
+        # pow2_rescale takes its scale with math on one float; _pow2_floor, which
+        # unit_rows keeps, with numpy on arrays. 0, subnormal, inf and NaN peaks included.
+        rng = np.random.default_rng(20)
+        m = rng.uniform(-1.0, 1.0, (20_000, 4)) * 10.0 ** rng.uniform(-308, 308, (20_000, 1))
+        specials = np.array([0.0, -0.0, 5e-324, -2.5e-320, 1e-310, np.finfo(float).max,
+                             -np.finfo(float).max, np.inf, -np.inf, np.nan])
+        m[rng.random(m.shape) < 0.05] = 0.0
+        rows = rng.random(len(m)) < 0.2
+        m[rows, rng.integers(0, 4, rows.sum())] = rng.choice(specials, rows.sum())
+        m[:len(specials)] = specials[:, None]  # vectors of 0s, subnormals, infs, NaNs only
+        want_s = _pow2_floor(np.abs(m).max(axis=1))
+        with np.errstate(invalid="ignore"):  # NaN peaks
+            for v, s in zip(m, want_s):
+                scaled, got_s = pow2_rescale(v)
+                assert type(got_s) is float and np.float64(got_s).tobytes() == s.tobytes()
+                assert scaled.tobytes() == (v / s).tobytes()
 
 
 class TestUnitRows:
@@ -373,6 +393,28 @@ class TestLeastSquares:
             # An exact power-of-2 lift keeps the squares of tiny residuals out of underflow.
             lift = 2.0**500 if np.abs(r).max(initial=0.0) < 1e-140 else 1.0
             assert fit.residual == float(np.linalg.norm(r * lift)) / lift, label
+
+    def test_rank_deficient_tall_systems_skip_the_solve(self, monkeypatch):
+        # R's diagonal alone refuses them (kappa_F >= max|r_ii| / min|r_ii|), before
+        # the k x (k + 1) solve; an exactly zero diagonal, too, without a LinAlgError.
+        solve, calls = np.linalg.solve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        systems = [(a, b) for label, a, b, _ in least_squares_cases() if "of rank 5" in label]
+        systems.append((np.column_stack([np.ones(4), np.zeros(4)]), np.ones(4)))
+        systems.append((np.zeros((3, 2)), np.ones(3)))
+        assert [a.shape for a, _ in systems[:2]] == [(7, 6), (12, 7)]
+        for a, b in systems:
+            fit = solve_least_squares(a, b)
+            assert fit.rank_deficient
+            assert fit.solution.tobytes() == reference_least_squares(a, b)[0].tobytes()
+        assert calls == []
+        solve_least_squares(np.eye(3), np.ones(3))
+        assert len(calls) == 1
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
