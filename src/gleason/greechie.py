@@ -71,34 +71,26 @@ class InvalidRealization(ValueError):
 class GreechieDiagram:
     """Atoms plus blocks; every block is one complete orthogonal context.
 
-    Atom ids and block members are kept as strings, as assignments and
-    realizations key them. Construction validates the blocks and keeps each
-    block's atom positions; ``incidence`` (the read-only blocks x atoms
-    matrix, True where the atom lies in the block) and the in-block pairs
-    are built on first use and kept.
+    The atom id rule, here and for assignment and realization keys: ids
+    become ``str``, and two that come out equal raise ValueError. Construction
+    validates the blocks and keeps each block's atom positions; ``incidence``
+    (the read-only blocks x atoms matrix, True where the atom lies in the
+    block) and the in-block pairs are built on first use and kept.
     """
 
     atoms: tuple[str, ...]
     blocks: tuple[tuple[str, ...], ...]
-    _position: dict[str, int] = field(init=False, repr=False, compare=False)
     _block_positions: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        blocks = tuple(map(tuple, self.blocks))
-        # Exact type, so that str subclasses such as np.str_ are coerced too.
-        if not set(map(type, itertools.chain(atoms, *blocks))) <= {str}:
-            atoms = tuple(map(str, atoms))
-            blocks = tuple(tuple(map(str, block)) for block in blocks)
+        atoms, blocks = tuple(self.atoms), list(map(tuple, self.blocks))
+        atoms = _atom_ids(atoms, "duplicate atom id")
         position = dict(zip(atoms, range(len(atoms))))
-        if len(position) != len(atoms):
-            raise ValueError("duplicate atom id")
         block_positions = []
-        for block in blocks:
+        for b, block in enumerate(blocks):  # block by block: the first failing one decides
+            blocks[b] = block = _atom_ids(block, "block {ids} repeats an atom")
             if len(block) < 2:
                 raise ValueError(f"block {block} has fewer than 2 atoms")
-            if len(set(block)) != len(block):
-                raise ValueError(f"block {block} repeats an atom")
             try:
                 block_positions.append(itemgetter(*block)(position))
             except KeyError as missing:
@@ -107,8 +99,7 @@ class GreechieDiagram:
             uncovered = min(set(range(len(atoms))).difference(*block_positions))
             raise ValueError(f"atom {atoms[uncovered]!r} appears in no block")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "_block_positions", tuple(block_positions))
 
     @cached_property
@@ -146,7 +137,7 @@ class GreechieDiagram:
         except KeyError as missing:
             raise UnknownAtom(f"{what} misses atom {missing.args[0]!r}") from None
         if len(by_atom) != len(values):
-            extra = next(atom for atom in by_atom if atom not in self._position)
+            extra = next(atom for atom in by_atom if atom not in self.atoms)
             raise UnknownAtom(f"{what} names undeclared atom {extra!r}")
         return np.array(values).reshape(len(values), *shape)
 
@@ -157,24 +148,36 @@ class GreechieDiagram:
         return self._atom_array(realization.vectors, "realization", (realization.dim,))
 
 
+def _atom_ids(ids, duplicate: str) -> tuple[str, ...]:
+    """``ids`` as ``str``, by the atom id rule; ValueError(``duplicate``) if two come out equal."""
+    ids = tuple(map(str, ids))
+    if len(set(ids)) < len(ids):
+        raise ValueError(duplicate.format(ids=ids, atom=next(a for a in ids if ids.count(a) > 1)))
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityAssignment:
-    """Map atom id -> probability in [0, 1] (validity is checked by validate_state)."""
+    """Map atom id -> probability in [0, 1] (validity is checked by validate_state).
+
+    Keys become ``str``; ValueError if two name one atom, as ``1`` and ``"1"`` do.
+    """
 
     values: dict[str, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", {str(k): float(v) for k, v in self.values.items()}
-        )
+        values = [float(v) for v in self.values.values()]
+        atoms = _atom_ids(self.values, "assignment names atom {atom!r} twice")
+        object.__setattr__(self, "values", dict(zip(atoms, values)))
 
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
     """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived.
 
-    The rows stay one array, in the order of the keys, which the checks read
-    as it is when that order is the diagram's.
+    Keys become ``str``; ValueError if two name one atom, after any invalid
+    vector. The rows stay one array, in key order, which the checks read as
+    it is when that order is the diagram's.
     """
 
     vectors: Mapping[str, np.ndarray]
@@ -197,7 +200,7 @@ class VectorRealization:
             _require_valid_vectors(self.vectors, rows)
         u = unit_rows(stacked)
         u.flags.writeable = False
-        atoms = tuple(map(str, self.vectors))
+        atoms = _atom_ids(self.vectors, "realization names atom {atom!r} twice")
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(atoms, u))))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_atoms", atoms)
@@ -582,15 +585,13 @@ def builtin_spin_half_family(
         separation = (angles[i] - angles[j]) % math.pi
         if min(separation, math.pi - separation) < 1e-12:
             raise DuplicateDirection(f"directions {i + 1} and {j + 1} coincide modulo pi")
-    atoms: list[str] = []
     blocks: list[tuple[str, str]] = []
     vectors: dict[str, tuple[float, float]] = {}
     for i, t in enumerate(angles, 1):
         minus, plus = f"x{i}-", f"x{i}+"
-        atoms += [minus, plus]
         blocks.append((minus, plus))
         vectors[minus], vectors[plus] = (math.cos(t), math.sin(t)), (-math.sin(t), math.cos(t))
-    return GreechieDiagram(tuple(atoms), tuple(blocks)), VectorRealization(vectors)
+    return GreechieDiagram(tuple(vectors), tuple(blocks)), VectorRealization(vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,26 +612,24 @@ def parse_greechie_text(text: str) -> GreechieFile:
     duplicate prob or vec entries for one atom, blocks of fewer than 2
     atoms, and inconsistent vector dimensions.
     """
-    atoms: list[str] = []
+    atoms: dict[str, None] = {}  # declared atoms, in order
     blocks: list[tuple[str, ...]] = []
     probs: dict[str, float] = {}
     vectors: dict[str, list[float]] = {}
     vec_dim = 0
-    declared: set[str] = set()
 
     for lineno, (keyword, *args) in content_lines(text):
         if keyword == "atom":
             if len(args) != 1:
                 raise GreechieFormatError(f"line {lineno}: atom takes exactly one id")
-            if args[0] in declared:
+            if args[0] in atoms:
                 raise GreechieFormatError(f"line {lineno}: duplicate atom {args[0]!r}")
-            declared.add(args[0])
-            atoms.append(args[0])
+            atoms[args[0]] = None
         elif keyword == "block":
             if len(args) < 2:
                 raise GreechieFormatError(f"line {lineno}: block needs at least 2 atoms")
             for a in args:
-                if a not in declared:
+                if a not in atoms:
                     raise GreechieFormatError(f"line {lineno}: unknown atom {a!r}")
             if len(set(args)) != len(args):
                 raise GreechieFormatError(f"line {lineno}: block repeats an atom")
@@ -638,7 +637,7 @@ def parse_greechie_text(text: str) -> GreechieFile:
         elif keyword == "prob":
             if len(args) != 2:
                 raise GreechieFormatError(f"line {lineno}: prob takes an id and a value")
-            if args[0] not in declared:
+            if args[0] not in atoms:
                 raise GreechieFormatError(f"line {lineno}: unknown atom {args[0]!r}")
             if args[0] in probs:
                 raise GreechieFormatError(f"line {lineno}: duplicate prob for {args[0]!r}")
@@ -651,7 +650,7 @@ def parse_greechie_text(text: str) -> GreechieFile:
         elif keyword == "vec":
             if len(args) < 2:
                 raise GreechieFormatError(f"line {lineno}: vec takes an id and components")
-            if args[0] not in declared:
+            if args[0] not in atoms:
                 raise GreechieFormatError(f"line {lineno}: unknown atom {args[0]!r}")
             if args[0] in vectors:
                 raise GreechieFormatError(f"line {lineno}: duplicate vec for {args[0]!r}")

@@ -146,11 +146,14 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
 def rank(a, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values strictly above ``tol``.
 
-    ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array.
+    ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array;
+    ValueError on non-finite entries, which have no singular values.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
 
 
@@ -252,7 +255,8 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     Lawson-Hanson non-negative least squares (Solving Least Squares
     Problems, 1974, ch. 23), one LAPACK solve per step. Returns a witness
     with entries exactly 0 or above tol if max |a x - b| <= scaled_tol(tol,
-    b), else None; RuntimeError if 3n steps do not settle.
+    b), else None; RuntimeError if 3n steps do not settle. ValueError on
+    non-finite entries, as no finite x can answer them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -261,6 +265,8 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionMismatch(f"{m} equations but {b.shape[0]} right-hand sides")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("feasibility system has non-finite entries")
     residual_tol = scaled_tol(tol, b)
     norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
     x = np.zeros(n)
@@ -297,9 +303,12 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     LinearlyDependent when a squared singular value of the input is at most
     ``scaled_tol(tol, v v^T)``. The Gram matrix is taken of the rows after
     :func:`pow2_rescale`, so the threshold stays finite where v v^T would
-    overflow and is exact where it would not.
+    overflow and is exact where it would not. ValueError on non-finite
+    components, which span nothing.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if not np.isfinite(v).all():
+        raise ValueError("vectors have non-finite components")
     k, n = v.shape
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")

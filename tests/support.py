@@ -9,7 +9,9 @@ vector-by-vector loops that the library's cached index arrays and batched
 rows replace; results must match them exactly,
 except ``reference_reconstructed``, whose sums a matrix product reorders, and
 ``reference_least_squares``, the SVD-based solve that the library keeps only
-for systems its QR path cannot certify.
+for systems its QR path cannot certify. ``reference_atom_ids`` is the three
+coercions that the atom id rule replaces, for inputs whose ids are distinct
+after ``str``.
 """
 
 from __future__ import annotations
@@ -258,6 +260,20 @@ def reference_reconstructed(decomposition: Decomposition, atoms) -> dict[str, fl
         for a, value in zip(atoms, row):
             out[a] += weight * value
     return out
+
+
+def reference_atom_ids(atoms, blocks, values, vectors) -> tuple:
+    """Atoms, blocks, assignment values and realization keys, coerced as each type once did.
+
+    The diagram kept its ids when all were exactly ``str`` and applied ``str`` to
+    every one otherwise; assignments applied ``str`` to each key, realizations too.
+    """
+    atoms, blocks = tuple(atoms), tuple(map(tuple, blocks))
+    if not {type(a) for a in itertools.chain(atoms, *blocks)} <= {str}:
+        atoms = tuple(map(str, atoms))
+        blocks = tuple(tuple(map(str, block)) for block in blocks)
+    values = {str(k): float(v) for k, v in values.items()}
+    return atoms, blocks, values, tuple(map(str, vectors))
 
 
 def reference_least_squares(rows, rhs) -> tuple[np.ndarray, bool]:

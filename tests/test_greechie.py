@@ -32,8 +32,10 @@ from support import (
     random_diagram,
     random_orthonormal,
     random_symmetric,
+    reference_atom_ids,
     reference_check_realization,
     reference_reconstructed,
+    reference_unit_row,
     reference_validate_state,
     reference_vector_failure,
 )
@@ -113,6 +115,72 @@ class TestDiagramInvariants:
             assert all(type(atom) is str for atom in ids)
         with pytest.raises(UnknownAtom, match=r"^block references undeclared atom 'd'$"):
             GreechieDiagram(("a", "b"), ((names[0], np.str_("d")),))
+
+
+class TestAtomIdRule:
+    """Ids become str, and two that come out equal are refused: in atoms, blocks and keys."""
+
+    def test_keys_naming_one_atom_twice_are_refused(self):
+        # Each pair once merged into one key, and the last value or vector won.
+        with pytest.raises(ValueError, match=r"^realization names atom '1' twice$"):
+            VectorRealization({1: [1.0, 0.0], "1": [0.0, 1.0], "2": [1.0, 0.0]})
+        with pytest.raises(ValueError, match=r"^assignment names atom '1' twice$"):
+            ProbabilityAssignment({1: 0.5, "1": 0.7})
+        with pytest.raises(ValueError, match=r"^assignment names atom '2' twice$"):
+            ProbabilityAssignment({"a": 1.0, np.str_("2"): 0.0, 2: 0.0})
+
+    def test_collisions_in_the_diagram_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^duplicate atom id$"):
+            GreechieDiagram((1, "1", "2"), (("1", "2"),))
+        with pytest.raises(ValueError, match=r"^block \('1', '1'\) repeats an atom$"):
+            GreechieDiagram(("1", "2"), ((1, "1"),))
+
+    def test_an_earlier_block_failure_comes_first(self):
+        with pytest.raises(UnknownAtom, match=r"^block references undeclared atom 'c'$"):
+            GreechieDiagram(("a", "b"), (("a", "c"), ("a", "a")))
+        with pytest.raises(ValueError, match=r"^block \('a',\) has fewer than 2 atoms$"):
+            GreechieDiagram(("a", "b"), (("a",), ("b", "b")))
+        with pytest.raises(TypeError):
+            GreechieDiagram(("a", "a"), (("a", "b"), None))
+
+    def test_invalid_values_and_vectors_come_before_collisions(self):
+        # The old errors, which name the key as it was given, still win.
+        with pytest.raises(InvalidRealization, match=r"^vector for 1 is zero$"):
+            VectorRealization({1: [0.0, 0.0], "1": [1.0, 0.0]})
+        with pytest.raises(DimensionMismatch, match=r"^vector for '1' has dimension 3, expected 2$"):
+            VectorRealization({1: [1.0, 0.0], "1": [1.0, 0.0, 0.0]})
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            ProbabilityAssignment({1: 0.5, "1": "half"})
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_distinct_ids_build_what_the_old_coercions_built(self, seed):
+        rng = np.random.default_rng(seed)
+        kinds = (str, int, np.str_)
+        for _ in range(30):
+            names = [str(k) for k in rng.choice(40, size=int(rng.integers(2, 9)), replace=False)]
+            names = [f"a{name}" if rng.random() < 0.3 else name for name in names]
+
+            def given(name):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                return kind(name) if kind is not int or name.isdigit() else name
+
+            order = rng.permutation(len(names))
+            blocks = [[given(names[k]) for k in pair] for pair in zip(order, np.roll(order, 1))]
+            atoms = [given(name) for name in names]
+            values = {given(names[k]): float(rng.random()) for k in rng.permutation(len(names))}
+            vectors = {given(names[k]): rng.standard_normal(3) for k in rng.permutation(len(names))}
+            want_atoms, want_blocks, want_values, want_keys = reference_atom_ids(
+                atoms, blocks, values, vectors
+            )
+            diagram = GreechieDiagram(atoms, blocks)
+            assert (diagram.atoms, diagram.blocks) == (want_atoms, want_blocks)
+            ids = [*diagram.atoms, *(atom for block in diagram.blocks for atom in block)]
+            assert all(type(atom) is str for atom in ids)
+            assert list(ProbabilityAssignment(values).values.items()) == list(want_values.items())
+            realization = VectorRealization(vectors)
+            assert tuple(realization.vectors) == want_keys
+            want_rows = np.array([reference_unit_row(v) for v in vectors.values()])
+            assert realization._rows.tobytes() == want_rows.tobytes()
 
 
 class TestValidateState:

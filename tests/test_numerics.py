@@ -303,6 +303,15 @@ class TestRank:
             with pytest.raises(ValueError):
                 rank(SymMatrix(np.eye(2)), tol)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_input(self, capfd, bad):
+        # An inf entry once counted as rank 0; NaN failed inside the SVD.
+        with pytest.raises(ValueError) as raised:
+            rank([[bad, 0.0]])
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "matrix has non-finite entries"
+        assert capfd.readouterr() == ("", "")
+
 
 class TestLeastSquares:
     def test_square_exact(self):
@@ -514,6 +523,25 @@ class TestLpFeasible:
         with pytest.raises(DimensionMismatch):
             lp_feasible([[1.0, 2.0]], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1.0, 1.0]], [math.inf]),
+            ([[1.0, 1.0]], [math.nan]),
+            ([[math.inf, 1.0]], [1.0]),
+            ([[math.nan, 1.0]], [1.0]),
+        ],
+        ids=["inf-rhs", "nan-rhs", "inf-matrix", "nan-matrix"],
+    )
+    def test_rejects_non_finite_input(self, capfd, a, b):
+        # An inf right-hand side was once answered with the witness 0, whose residual
+        # is inf like its tolerance; NaN in a made LAPACK print to stderr.
+        with pytest.raises(ValueError) as raised:
+            lp_feasible(a, b)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "feasibility system has non-finite entries"
+        assert capfd.readouterr() == ("", "")
+
 
 class TestOrthonormalize:
     def test_axis_scaling(self):
@@ -591,6 +619,15 @@ class TestOrthonormalize:
             orthonormalize([(1.0, 0.0), (2.0, 0.0)])
         with pytest.raises(LinearlyDependent):
             orthonormalize([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_input(self, capfd, bad):
+        # An inf component was once called dependent; NaN failed inside the SVD.
+        with pytest.raises(ValueError) as raised:
+            orthonormalize([[bad, 0.0]])
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "vectors have non-finite components"
+        assert capfd.readouterr() == ("", "")
 
 
 class TestPackedQuadratic:
