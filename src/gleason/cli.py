@@ -274,7 +274,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
     if args.subcommand == "decompose":
         if parsed.assignment is None:
-            raise MatrixFormatError("file has no prob lines; nothing to decompose")
+            raise greechie.GreechieFormatError("file has no prob lines; nothing to decompose")
         result = greechie.convex_decomposition(diagram, parsed.assignment)
         if result is None:
             report.add("decomposable", False)
@@ -288,7 +288,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
     # feasibility
     if parsed.assignment is None or parsed.realization is None:
-        raise MatrixFormatError("feasibility needs both prob and vec lines")
+        raise greechie.GreechieFormatError("feasibility needs both prob and vec lines")
     verdict = greechie.quantum_feasibility(diagram, parsed.realization, parsed.assignment)
     report.add("realizable", verdict.realizable)
     if verdict.realizable:
@@ -519,9 +519,12 @@ def _cmd_demo(args) -> tuple[Report, int]:
 
 
 def _positive_tol(token: str) -> float:
-    value = finite_float(token)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {token!r}")
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan  # refused below, like every value outside (0, inf)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {token!r}")
     return value
 
 
@@ -604,9 +607,8 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if report is not None:
-        out = render_structured(report) if args.format == "structured" else render_text(report)
-        sys.stdout.write(out)
+    out = render_structured(report) if args.format == "structured" else render_text(report)
+    sys.stdout.write(out)
     return code
 
 

@@ -175,9 +175,10 @@ class ProbabilityAssignment:
 class VectorRealization:
     """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived.
 
-    Keys become ``str``; ValueError if two name one atom, after any invalid
-    vector. The rows stay one array, in key order, which the checks read as
-    it is when that order is the diagram's.
+    Construction walks the keys in order and the first failing atom decides; within
+    one: conversion to float (its own error), non-finite, a dimension other than the
+    first's, zero. Keys then become ``str``; ValueError if two name one atom. The rows
+    stay one array, in key order, read as it is when that order is the diagram's.
     """
 
     vectors: Mapping[str, np.ndarray]
@@ -186,43 +187,27 @@ class VectorRealization:
     _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = []
-        for vec in self.vectors.values():
-            try:
-                rows.append(np.asarray(vec, dtype=float).reshape(-1))
-            except (TypeError, ValueError, OverflowError):
-                _require_valid_vectors(self.vectors, rows)  # an earlier atom's failure comes first
-                raise
-        dim = rows[0].shape[0] if rows else 0
-        same_dim = all(v.shape[0] == dim for v in rows)
-        stacked = np.array(rows).reshape(len(rows), dim) if same_dim else None
-        if stacked is None or not (np.isfinite(stacked).all() and stacked.any(axis=1).all()):
-            _require_valid_vectors(self.vectors, rows)
-        u = unit_rows(stacked)
+        rows, dim = [], 0
+        for atom, vec in self.vectors.items():
+            v = np.asarray(vec, dtype=float).reshape(-1)
+            components = v.tolist()
+            if not all(map(math.isfinite, components)):
+                raise InvalidRealization(f"vector for {atom!r} has non-finite components")
+            dim = dim or len(components)
+            if len(components) != dim:
+                raise DimensionMismatch(
+                    f"vector for {atom!r} has dimension {len(components)}, expected {dim}"
+                )
+            if not any(components):
+                raise InvalidRealization(f"vector for {atom!r} is zero")
+            rows.append(v)
+        u = unit_rows(np.array(rows).reshape(len(rows), dim))
         u.flags.writeable = False
         atoms = _atom_ids(self.vectors, "realization names atom {atom!r} twice")
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(atoms, u))))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_rows", u)
-
-
-def _require_valid_vectors(vectors: Mapping, rows: list[np.ndarray]) -> None:
-    """Raise for the first of ``rows`` (one per key of ``vectors``) that is not a valid ray.
-
-    Within one atom: non-finite, then a dimension other than the first row's, then zero.
-    """
-    dim = 0
-    for atom, v in zip(vectors, rows):
-        if not np.isfinite(v).all():
-            raise InvalidRealization(f"vector for {atom!r} has non-finite components")
-        dim = dim or v.shape[0]
-        if v.shape[0] != dim:
-            raise DimensionMismatch(
-                f"vector for {atom!r} has dimension {v.shape[0]}, expected {dim}"
-            )
-        if not v.any():
-            raise InvalidRealization(f"vector for {atom!r} is zero")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ except ``reference_reconstructed``, whose sums a matrix product reorders, and
 ``reference_least_squares``, the SVD-based solve that the library keeps only
 for systems its QR path cannot certify. ``reference_atom_ids`` is the three
 coercions that the atom id rule replaces, for inputs whose ids are distinct
-after ``str``.
+after ``str``. ``reference_vector_failure`` replaces nothing: it is the
+library's own atom-by-atom order, with numpy checks where ``VectorRealization``
+checks each row's Python floats.
 """
 
 from __future__ import annotations

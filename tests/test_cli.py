@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -27,6 +28,7 @@ from gleason.cli import (
     render_structured,
     render_text,
 )
+import cli_digest
 
 FIXTURES = _default_fixtures()
 BOM = b"\xef\xbb\xbf"
@@ -470,9 +472,9 @@ class TestSignatureCommand:
 
 class TestTolOption:
     @pytest.mark.parametrize("command", ["signature", "greechie check"])
-    @pytest.mark.parametrize("token", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "0", "-1", "1e400", "abc"])
     def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, command, token):
-        # A usage error (exit 2), never a verdict or a validation failure.
+        # A usage error (exit 2) that names the token, never a verdict or a validation failure.
         one_zero = tmp_path / "one-zero.greechie"
         one_zero.write_text("atom a\natom b\nblock a b\nprob a 1\nprob b 0\n")
         path = FIXTURES / "twelfths.mat" if command == "signature" else one_zero
@@ -482,9 +484,39 @@ class TestTolOption:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tol" in captured.err
+        assert f"must be a finite positive number, got {token!r}" in captured.err
+        assert "_positive_tol" not in captured.err
 
 
 class TestGreechieCommands:
+    @pytest.mark.parametrize(
+        "subcommand, text, message",
+        [
+            (
+                "decompose",
+                "atom a\natom b\nblock a b\n",
+                "file has no prob lines; nothing to decompose",
+            ),
+            (
+                "feasibility",
+                "atom a\natom b\nblock a b\nprob a 1\nprob b 0\n",
+                "feasibility needs both prob and vec lines",
+            ),
+        ],
+        ids=["decompose-without-prob", "feasibility-without-vec"],
+    )
+    def test_missing_lines_are_greechie_format_errors(
+        self, capsys, tmp_path, subcommand, text, message
+    ):
+        path = tmp_path / "partial.greechie"
+        path.write_text(text)
+        args = cli.build_parser().parse_args(["greechie", subcommand, str(path)])
+        with pytest.raises(greechie.GreechieFormatError) as raised:
+            args.handler(args)
+        assert str(raised.value) == message
+        code, out, err = run(capsys, "greechie", subcommand, str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
+
     def test_check_pentagon(self, capsys):
         code, payload, err = structured(
             capsys, "greechie", "check", str(FIXTURES / "pentagon.greechie")
@@ -901,3 +933,23 @@ class TestHarness:
             assert code == EXIT_OK
             assert payload["command"] == command.replace("frame-to-density", "reconstruct")
             assert payload["inputs"]["path"] == str(path)
+
+    def test_acceptance_invocations_exit_as_pinned_with_empty_stderr(self):
+        # The contract that tests/cli_digest.py compares between two trees, pinned on this one:
+        # exit 5 for the infeasible verdicts, 0 for every other run, nothing on stderr.
+        infeasible = {
+            ("decompose", "pentagon.greechie"),
+            ("feasibility", "pentagon.greechie"),
+            ("decompose", "ks18.greechie"),
+            ("feasibility", "fig_two_contexts_classical.greechie"),
+            ("feasibility", "fig_three_contexts_classical.greechie"),
+        }
+        empty = hashlib.sha256(b"").hexdigest()
+        runs = [cli_digest.digest(argv) for argv in cli_digest.invocations()]
+        assert len(runs) == 122
+        for digest in runs:
+            argv = digest["argv"]
+            verdict = (argv[1], Path(argv[2]).name) if argv[0] == "greechie" else None
+            assert digest["stderr"] == empty, argv
+            assert digest["exit"] == (EXIT_INFEASIBLE if verdict in infeasible else EXIT_OK), argv
+        assert sum(digest["exit"] == EXIT_INFEASIBLE for digest in runs) == 10

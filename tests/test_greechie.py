@@ -625,10 +625,14 @@ class TestCheckRealization:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_failures_match_the_atom_by_atom_walk(self, seed):
-        # The stacked checks find that some atom fails; the walk must name the same one.
+        # The library checks each row's Python floats; the reference checks numpy arrays.
+        # Both must name the same atom, error and message, on lists and arrays alike.
         rng = np.random.default_rng(seed)
         faults = [[0.0, 0.0], [math.nan, 1.0], [1.0, -math.inf], [1.0, 2.0, 3.0], [], [[1.0]],
-                  "one", [10**400, 1.0]]
+                  "one", [10**400, 1.0],
+                  np.array([math.nan, 1.0]), np.array([math.inf, 1.0]), np.array([1.0, -math.inf]),
+                  np.array([-0.0, 0.0]), np.float64(2.0), np.array([[1.0, 2.0]]),
+                  np.array([0.5, -2.0], dtype=np.float32), np.array([3, 0]), np.array([0.6, 0.8])]
         for _ in range(50):
             vectors = {}
             for k in range(rng.integers(1, 7)):
