@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, DimensionMismatch, SymMatrix, orthonormalize
+from .numerics import DEFAULT_TOL, DimensionMismatch, SymMatrix, orthonormalize, real_array
 
 _NORM_SLACK = 1e-6
 
@@ -49,7 +49,7 @@ class StateVector:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.components, dtype=float).reshape(-1)
+        x = real_array(self.components, "state vector").reshape(-1)
         if x.shape[0] < 1:
             raise DimensionMismatch("state vector must have dimension >= 1")
         norm = float(np.linalg.norm(x))

@@ -34,6 +34,7 @@ from .numerics import (
     packed_index,
     quad_coeff_row,
     rank,
+    real_array,
     scaled_tol,
     solve_least_squares,
     sym_from_packed,
@@ -127,25 +128,22 @@ class GreechieDiagram:
         pairs.flags.writeable = False
         return pairs
 
-    def _atom_array(self, by_atom: Mapping, what: str, shape: tuple = ()) -> np.ndarray:
-        """The mapping's values in ``atoms`` order, stacked into rows of ``shape``.
+    def _aligned(self, keyed: ProbabilityAssignment | VectorRealization, what: str) -> np.ndarray:
+        """``keyed``'s read-only rows in ``atoms`` order: its own array if so keyed, else a gather.
 
         UnknownAtom names the first atom missing, else the first undeclared key.
         """
+        if keyed._atoms == self.atoms:
+            return keyed._rows
+        position = dict(zip(keyed._atoms, range(len(keyed._atoms))))
         try:
-            values = [by_atom[atom] for atom in self.atoms]
+            order = [position[atom] for atom in self.atoms]
         except KeyError as missing:
             raise UnknownAtom(f"{what} misses atom {missing.args[0]!r}") from None
-        if len(by_atom) != len(values):
-            extra = next(atom for atom in by_atom if atom not in self.atoms)
+        if len(position) != len(order):
+            extra = next(atom for atom in keyed._atoms if atom not in self.atoms)
             raise UnknownAtom(f"{what} names undeclared atom {extra!r}")
-        return np.array(values).reshape(len(values), *shape)
-
-    def _vectors(self, realization: "VectorRealization") -> np.ndarray:
-        """The realization's unit rows in ``atoms`` order: its own array when it is keyed so."""
-        if realization._atoms == self.atoms:
-            return realization._rows
-        return self._atom_array(realization.vectors, "realization", (realization.dim,))
+        return keyed._rows[order]
 
 
 def _atom_ids(ids, duplicate: str) -> tuple[str, ...]:
@@ -156,29 +154,38 @@ def _atom_ids(ids, duplicate: str) -> tuple[str, ...]:
     return ids
 
 
+def _keep_keyed(keyed, mapping: str, what: str, rows: np.ndarray, items) -> None:
+    """Keep ``rows`` read-only as ``_rows``, keys by the atom id rule, ``mapping`` read-only."""
+    atoms = _atom_ids(getattr(keyed, mapping), what + " names atom {atom!r} twice")
+    rows.flags.writeable = False
+    object.__setattr__(keyed, mapping, MappingProxyType(dict(zip(atoms, items))))
+    object.__setattr__(keyed, "_atoms", atoms)
+    object.__setattr__(keyed, "_rows", rows)
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityAssignment:
-    """Map atom id -> probability in [0, 1] (validity is checked by validate_state).
+    """Read-only map atom id -> float probability, kept as one array in key order too.
 
-    Keys become ``str``; ValueError if two name one atom, as ``1`` and ``"1"`` do.
+    validate_state checks it. Keys become ``str``; ValueError if two name one atom (1, "1").
     """
 
-    values: dict[str, float]
+    values: Mapping[str, float]
+    _atoms: tuple[str, ...] = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         values = [float(v) for v in self.values.values()]
-        atoms = _atom_ids(self.values, "assignment names atom {atom!r} twice")
-        object.__setattr__(self, "values", dict(zip(atoms, values)))
+        _keep_keyed(self, "values", "assignment", np.array(values), values)
 
 
 @dataclass(frozen=True, eq=False)
 class VectorRealization:
-    """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows``; dim is derived.
+    """Finite, nonzero rays per atom, kept as read-only rows of ``unit_rows`` in key order.
 
-    Construction walks the keys in order and the first failing atom decides; within
-    one: conversion to float (its own error), non-finite, a dimension other than the
-    first's, zero. Keys then become ``str``; ValueError if two name one atom. The rows
-    stay one array, in key order, read as it is when that order is the diagram's.
+    Construction walks the keys in order and the first failing atom decides; within one:
+    conversion to float (its own error; TypeError if complex), non-finite, a dimension other
+    than the first's, zero. Keys then become ``str``; ValueError if two name one atom.
     """
 
     vectors: Mapping[str, np.ndarray]
@@ -189,7 +196,7 @@ class VectorRealization:
     def __post_init__(self) -> None:
         rows, dim = [], 0
         for atom, vec in self.vectors.items():
-            v = np.asarray(vec, dtype=float).reshape(-1)
+            v = real_array(vec, f"vector for {atom!r}").reshape(-1)
             components = v.tolist()
             if not all(map(math.isfinite, components)):
                 raise InvalidRealization(f"vector for {atom!r} has non-finite components")
@@ -202,12 +209,8 @@ class VectorRealization:
                 raise InvalidRealization(f"vector for {atom!r} is zero")
             rows.append(v)
         u = unit_rows(np.array(rows).reshape(len(rows), dim))
-        u.flags.writeable = False
-        atoms = _atom_ids(self.vectors, "realization names atom {atom!r} twice")
-        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(atoms, u))))
+        _keep_keyed(self, "vectors", "realization", u, u)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "_rows", u)
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,7 @@ def validate_state(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _state_violations(diagram, diagram._atom_array(assignment.values, "assignment"), tol)
+    return _state_violations(diagram, diagram._aligned(assignment, "assignment"), tol)
 
 
 def _state_violations(diagram: GreechieDiagram, values: np.ndarray, tol: float) -> list[Violation]:
@@ -323,7 +326,7 @@ def convex_decomposition(
     decided by ``lp_feasible``; None means no decomposition exists, and
     every entry's weight is above DEFAULT_TOL.
     """
-    values = diagram._atom_array(assignment.values, "assignment")
+    values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     states = enumerate_two_valued_states(diagram)
     columns = np.array(states, dtype=float).reshape(len(states), len(values)).T
@@ -346,7 +349,7 @@ def is_polytope_vertex(
     True iff the active constraints (all block equalities plus the tight
     q(atom) = 0 bounds) have full rank over the atoms.
     """
-    values = diagram._atom_array(assignment.values, "assignment")
+    values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     tight = np.eye(len(values))[values <= tol]
     return rank(np.vstack([diagram.incidence, tight]), tol) == len(values)
@@ -365,7 +368,7 @@ def check_realization(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _realization_violations(diagram, diagram._vectors(realization), tol)
+    return _realization_violations(diagram, diagram._aligned(realization, "realization"), tol)
 
 
 def _realization_violations(
@@ -458,9 +461,9 @@ def quantum_feasibility(
     against positive semidefiniteness (eigenvalue floor -1e-8).
     """
     n = realization.dim
-    vectors = diagram._vectors(realization)
+    vectors = diagram._aligned(realization, "realization")
     _require(_realization_violations(diagram, vectors, DEFAULT_TOL), InvalidRealization)
-    probs = diagram._atom_array(assignment.values, "assignment")
+    probs = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
     zero = probs <= _ZERO_PROB_TOL
 

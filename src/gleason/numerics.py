@@ -8,8 +8,9 @@ Householder QR when its R factor is certified to have full column rank
 (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
 falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
-for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling and
-:func:`unit_rows` the one way rows are normalised; the ``dim n`` text format is here too.
+for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling,
+:func:`unit_rows` the one way rows are normalised and :func:`real_array` the one gate
+that refuses complex input; the ``dim n`` text format is here too.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def scaled_tol(tol: float, values) -> float:
     return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
+def real_array(a, what: str) -> np.ndarray:
+    """``np.asarray(a, dtype=float)``, but TypeError for an array or numpy scalar of complex dtype.
+
+    The cast would drop the imaginary part; complex Python numbers fail the cast itself.
+    The message names ``a`` as ``what``.
+    """
+    if isinstance(a, (np.ndarray, np.generic)) and a.dtype.kind == "c":
+        raise TypeError(f"{what} is complex; only real input is supported")
+    return np.asarray(a, dtype=float)
+
+
 def _pow2_floor(peak):
     """2^floor(log2 peak), entrywise (0.5 where peak is 0): dividing by it is exact."""
     return np.ldexp(1.0, np.frexp(peak)[1] - 1)
@@ -75,17 +87,17 @@ class SymMatrix:
     """Dense real symmetric matrix.
 
     Construction symmetrizes through a/2 + a^T/2 but rejects inputs whose
-    asymmetry exceeds 1e-12, so caller bugs surface instead of being
-    averaged away. Non-finite entries are rejected too: LAPACK turns them
-    into NaN eigenvalues, which pass every ``<`` test. A trace that overflows
-    is rejected as well, so ``trace`` is always finite. The entries are
-    read-only, so ``spectrum`` is computed on first use and kept.
+    asymmetry exceeds ``scaled_tol(1e-12, a)``, so caller bugs surface instead of
+    being averaged away. Complex entries are rejected (:func:`real_array`), and so are
+    non-finite ones: LAPACK turns them into NaN eigenvalues, which pass every ``<``
+    test. A trace that overflows is rejected as well, so ``trace`` is always finite.
+    The entries are read-only, so ``spectrum`` is computed on first use and kept.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
+        a = np.array(real_array(self.entries, "matrix"))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -94,7 +106,8 @@ class SymMatrix:
             raise ValueError("matrix has non-finite entries")
         a *= 0.5  # halved first: a - a^T and a + a^T overflow near the float limit
         asym = 2.0 * float(abs(a - a.T).max())
-        if asym > _ASYMMETRY_LIMIT:
+        # The scale (of 2a: a is halved) is taken only past the absolute limit.
+        if asym > _ASYMMETRY_LIMIT and asym > scaled_tol(_ASYMMETRY_LIMIT, 2.0 * a):
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
         a = a + a.T
         # Partial sums of the trace stay below 2 n max |a_ii|, so only near

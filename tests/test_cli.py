@@ -416,6 +416,23 @@ class TestSignatureCommand:
         assert values["signature"] == {"positive": 1, "negative": 1, "zero": 0}
         assert values["classification"] is None
 
+    def test_bad_dimension_is_parse_error(self, capsys, tmp_path):
+        form = tmp_path / "bad.mat"
+        form.write_text("dim x\n")
+        assert run(capsys, "signature", str(form)) == (EXIT_PARSE, "", "error: bad dimension 'x'\n")
+
+    def test_roundoff_of_a_large_product_is_not_asymmetry(self, capsys, tmp_path):
+        # q diag(w) q^T at scale 1e6 is symmetric only up to roundoff near 1e-10.
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        product = q @ np.diag(rng.uniform(0.5, 1.5, 4) * 1e6) @ q.T
+        assert np.abs(product - product.T).max() > 1e-12
+        form = tmp_path / "large.mat"
+        form.write_text(numerics.format_matrix_text(product))
+        code, payload, err = structured(capsys, "signature", str(form))
+        assert (code, err) == (EXIT_OK, "")
+        assert verdicts(payload)["signature"] == {"positive": 4, "negative": 0, "zero": 0}
+
     @pytest.mark.parametrize("command", ["signature", "reconstruct"])
     def test_asymmetry_at_the_float_limit(self, tmp_path, command):
         # a - a^T overflows float64 here: any numpy warning must fail the run.

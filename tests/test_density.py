@@ -41,6 +41,18 @@ class TestStateVector:
         with pytest.raises(NotNormalized):
             StateVector(np.array([math.nan, 0.0]))
 
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(DimensionMismatch, match=r"^state vector must have dimension >= 1$"):
+            StateVector(np.zeros(0))
+
+    @pytest.mark.parametrize(
+        "components", [np.array([1j, 0.0]), np.array([1.0, 0.0], dtype=complex)], ids=["i", "real"]
+    )
+    def test_rejects_complex_components(self, components):
+        # The float cast kept (0, 0) of (i, 0), reported as "vector norm 0".
+        with pytest.raises(TypeError, match=r"^state vector is complex; only real input"):
+            StateVector(components)
+
 
 class TestPureState:
     def test_axis_state(self):

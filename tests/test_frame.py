@@ -112,6 +112,11 @@ class TestEvaluate:
         with pytest.raises(NotUnit):
             evaluate(f, np.array([math.nan, 0.0]))
 
+    def test_rejects_a_point_of_another_dimension(self):
+        f = FrameFunction(SymMatrix(np.eye(2)))
+        with pytest.raises(DimensionMismatch, match=r"^point has dimension 3, form has 2$"):
+            evaluate(f, np.array([1.0, 0.0, 0.0]))
+
 
 class TestFromDensity:
     def test_mixture_of_entangled_projectors(self):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,40 @@ class TestAtomIdRule:
             assert tuple(realization.vectors) == want_keys
             want_rows = np.array([reference_unit_row(v) for v in vectors.values()])
             assert realization._rows.tobytes() == want_rows.tobytes()
+
+
+class TestKeyedInputs:
+    """Measures and realizations keep read-only rows in key order; the diagram aligns both."""
+
+    def test_values_are_read_only_floats(self):
+        assignment = ProbabilityAssignment({"a": 1, "b": np.float64(0.25)})
+        assert list(assignment.values.items()) == [("a", 1.0), ("b", 0.25)]
+        assert all(type(value) is float for value in assignment.values.values())
+        # Writes once slipped an int key past the atom id rule, or a str value past float().
+        for key, value in ((1, 0.5), ("a", "0.5")):
+            with pytest.raises(TypeError):
+                assignment.values[key] = value
+        assert assignment._rows.tolist() == [1.0, 0.25]
+        with pytest.raises(ValueError):
+            assignment._rows[0] = 0.5
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_aligned_rows_are_the_atom_gather(self, seed):
+        # The diagram's atom order, from each input's own array or from one gather, bit for
+        # bit what stacking the mapping's values atom by atom gives.
+        rng = np.random.default_rng(seed)
+        atoms = tuple(f"a{k}" for k in range(int(rng.integers(2, 12))))
+        diagram = GreechieDiagram(atoms, (atoms,))
+        for order in (range(len(atoms)), rng.permutation(len(atoms))):
+            keys = [atoms[k] for k in order]
+            measure = ProbabilityAssignment(dict(zip(keys, rng.random(len(keys)).tolist())))
+            realization = VectorRealization(dict(zip(keys, rng.standard_normal((len(keys), 3)))))
+            for keyed, mapping, what in ((measure, measure.values, "assignment"),
+                                         (realization, realization.vectors, "realization")):
+                got, want = diagram._aligned(keyed, what), np.array([mapping[a] for a in atoms])
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
+                assert (got is keyed._rows) == (keyed._atoms == atoms)
 
 
 class TestValidateState:
@@ -611,10 +646,15 @@ class TestCheckRealization:
             ),
             ({"a": [0.0, 0.0], "b": "one"}, InvalidRealization, "vector for 'a' is zero"),
             ({"a": [1.0, 0.0], "b": "one"}, ValueError, "could not convert string to float: 'one'"),
+            (
+                {"a": [0.0, 0.0], "b": np.array([1j, 0.0])},
+                InvalidRealization,
+                "vector for 'a' is zero",
+            ),
         ],
         ids=["non-finite-then-dimension", "zero-then-non-finite", "empty-first", "integer-key",
              "non-finite-before-dimension", "dimension-before-zero", "zero-before-later-faults",
-             "zero-before-unconvertible", "unconvertible"],
+             "zero-before-unconvertible", "unconvertible", "zero-before-complex"],
     )
     def test_first_failing_atom_decides(self, vectors, error, message):
         # Across atoms the first failure wins; within one: non-finite, dimension, zero.
@@ -632,7 +672,8 @@ class TestCheckRealization:
                   "one", [10**400, 1.0],
                   np.array([math.nan, 1.0]), np.array([math.inf, 1.0]), np.array([1.0, -math.inf]),
                   np.array([-0.0, 0.0]), np.float64(2.0), np.array([[1.0, 2.0]]),
-                  np.array([0.5, -2.0], dtype=np.float32), np.array([3, 0]), np.array([0.6, 0.8])]
+                  np.array([0.5, -2.0], dtype=np.float32), np.array([3, 0]), np.array([0.6, 0.8]),
+                  np.array([1j, 1.0]), np.array([0.6, 0.8], dtype=complex)]
         for _ in range(50):
             vectors = {}
             for k in range(rng.integers(1, 7)):
@@ -646,9 +687,19 @@ class TestCheckRealization:
                 first = np.ravel(next(iter(vectors.values())))
                 assert realization.dim == len(first) and list(realization.vectors) == list(vectors)
                 continue
-            with pytest.raises((ValueError, OverflowError)) as raised:
+            with pytest.raises((ValueError, OverflowError, TypeError)) as raised:
                 VectorRealization(vectors)
             assert (type(raised.value), str(raised.value)) == want
+
+    def test_complex_vectors_are_refused(self):
+        # The float cast kept (0, 1) of (i, 1), and this block then passed the check, though
+        # <a|b> = i; complex input waits for one dtype path through the library.
+        with pytest.raises(TypeError, match=r"^vector for 'a' is complex; only real input"):
+            VectorRealization({"a": np.array([1j, 1.0]), "b": np.array([1.0, 0.0])})
+        with pytest.raises(TypeError, match=r"^vector for 2 is complex"):  # before non-finite
+            VectorRealization({"a": [1.0, 0.0], 2: np.array([math.nan, 1j])})
+        with pytest.raises(TypeError):  # complex Python numbers fail the cast itself
+            VectorRealization({"a": [1j, 1.0], "b": [1.0, 0.0]})
 
     def test_vectors_are_rows_of_one_read_only_array(self):
         realization = VectorRealization({"a": [3.0, 4.0], "b": (0.0, -2.0)})
@@ -748,8 +799,9 @@ class TestQuantumFeasibility:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_shuffled_keys_give_the_same_bits(self, n):
-        # Keys in atom order hand the realization's own rows to the checks; any other
-        # order gathers them by atom. Densities and certificates must not tell them apart.
+        # Keys in atom order hand the realization's or the measure's own rows to the checks;
+        # any other order gathers them by atom. Densities and certificates must not tell the
+        # four combinations apart.
         rng = np.random.default_rng(200 + n)
         eye = np.eye(n)
         basis = random_orthonormal(rng, n)
@@ -772,16 +824,19 @@ class TestQuantumFeasibility:
                 probs = (np.einsum("ki,ij,kj->k", rows, measured, rows) if measured is not None
                          else np.tile(eye[0], contexts))
                 diagram = GreechieDiagram(tuple(atoms), tuple(blocks))
-                state = ProbabilityAssignment(dict(zip(atoms, probs.tolist())))
+                values = probs.tolist()
                 verdicts = []
-                for order in (np.arange(len(atoms)), rng.permutation(len(atoms))):
-                    realization = VectorRealization({atoms[k]: rows[k] for k in order})
-                    in_order = order.tolist() == sorted(order.tolist())
-                    assert (realization._atoms == diagram.atoms) == in_order
+                orders = (np.arange(len(atoms)), rng.permutation(len(atoms)))
+                for vector_order, value_order in itertools.product(orders, repeat=2):
+                    realization = VectorRealization({atoms[k]: rows[k] for k in vector_order})
+                    state = ProbabilityAssignment({atoms[k]: values[k] for k in value_order})
+                    for keyed, order in ((realization, vector_order), (state, value_order)):
+                        in_order = order.tolist() == sorted(order.tolist())
+                        assert (keyed._atoms == diagram.atoms) == in_order
                     verdict = quantum_feasibility(diagram, realization, state)
                     density = verdict.density and verdict.density.matrix.entries.tobytes()
                     verdicts.append((verdict.realizable, density, repr(verdict.certificate)))
-                assert verdicts[0] == verdicts[1]
+                assert verdicts == verdicts[:1] * 4
                 kinds.add(verdict.certificate.kind if verdict.certificate else "realizable")
         assert {"realizable", "kernel-rank", "psd"} <= kinds
 
@@ -836,6 +891,10 @@ class TestBuiltins:
     def test_duplicate_direction_rejected(self):
         with pytest.raises(DuplicateDirection):
             builtin_spin_half_family(2, [0.25, 0.25 + math.pi])
+
+    def test_needs_at_least_one_direction(self):
+        with pytest.raises(ValueError, match=r"^n must be at least 1$"):
+            builtin_spin_half_family(0, [])
 
     def test_direction_count_must_match(self):
         with pytest.raises(DimensionMismatch):

@@ -165,6 +165,48 @@ class TestSymMatrix:
         with pytest.raises(DimensionMismatch):
             SymMatrix(np.ones((2, 3)))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"^matrix must have dimension >= 1$"):
+            SymMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [np.array([[1, 1j], [-1j, 1]]), np.eye(2, dtype=complex), np.complex128(1.0)],
+        ids=["hermitian", "complex-identity", "complex-scalar"],
+    )
+    def test_rejects_complex_entries(self, entries):
+        # The float cast would keep the real parts: [[1, 1j], [-1j, 1]] became the identity.
+        with pytest.raises(TypeError, match=r"^matrix is complex; only real input is supported$"):
+            SymMatrix(entries)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e100])
+    def test_roundoff_at_large_scale_is_not_asymmetry(self, scale):
+        # q diag(w) q^T is symmetric up to roundoff of order eps * scale, which the
+        # absolute 1e-12 refused from scale 1e4 on; the limit is scaled_tol of the matrix.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            a = q @ np.diag(rng.uniform(0.5, 1.5, 4) * scale) @ q.T
+            assert np.array_equal(SymMatrix(a).entries, a / 2.0 + a.T / 2.0)
+
+    def test_relative_asymmetry_is_refused_at_large_scale(self):
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = q @ np.diag(rng.uniform(0.5, 1.5, 4) * 1e6) @ q.T
+        a[0, 1] += 1e-6 * np.abs(a).max()
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymMatrix(a)
+        # Just past scaled_tol(1e-12, a) is refused; just inside it is averaged away.
+        limit = scaled_tol(1e-12, a)
+        for excess, refused in ((1.5, True), (0.5, False)):
+            b = (a + a.T) / 2.0
+            b[0, 1] += excess * limit
+            if refused:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    SymMatrix(b)
+            else:
+                SymMatrix(b)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -684,6 +726,7 @@ class TestMatrixText:
         [
             "",
             "dim\n",
+            "dim x\n",
             "size 2\n1 0\n0 1\n",
             "dim 0\n",
             "dim 2\n1 0\n",
@@ -698,6 +741,10 @@ class TestMatrixText:
     def test_rejects_malformed(self, text):
         with pytest.raises(MatrixFormatError):
             parse_matrix_text(text)
+
+    def test_format_rejects_a_non_square_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(1, 3\)"):
+            format_matrix_text([[1.0, 2.0, 3.0]])
 
     def test_error_names_the_file_line(self):
         # comment and blank lines count: the short row is line 5 of the text
