@@ -21,8 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, field
-from importlib import resources
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,9 @@ EXIT_VALIDATION = 3
 EXIT_BAD_PROBES = 4
 EXIT_INFEASIBLE = 5
 
+_PLAIN = (float, int, str, bool, type(None))
+_ENCODER = json.JSONEncoder(indent=2, check_circular=False)  # payloads are fresh trees
+
 
 @dataclass
 class Report:
@@ -60,6 +62,8 @@ class Report:
 
 
 def _jsonable(value):
+    if type(value) in _PLAIN:  # Python scalars are most values and pass unchanged
+        return value
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()  # native Python values all the way down
     if isinstance(value, dict):
@@ -77,7 +81,7 @@ def render_structured(report: Report) -> str:
             {"name": name, "value": _jsonable(value)} for name, value in report.verdicts
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 def _fmt_scalar(value) -> str:
@@ -98,7 +102,7 @@ def render_text(report: Report) -> str:
             lines.append(f"{name}:")
             for item in value:  # a matrix row, a record, or a scalar
                 if isinstance(item, list):
-                    lines.append("  " + " ".join(_fmt_scalar(v) for v in item))
+                    lines.append("  " + " ".join(map(_fmt_scalar, item)))
                 elif isinstance(item, dict):
                     lines.append(
                         "  - " + "  ".join(f"{k}={_fmt_scalar(v)}" for k, v in item.items())
@@ -133,7 +137,8 @@ def _polynomial(form: np.ndarray) -> str:
 
 
 def _read_text(path: Path) -> str:
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:  # one unbuffered read of the whole file
+        data = f.readall()
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -154,7 +159,7 @@ def _load_greechie(path: Path) -> greechie.GreechieFile:
 def _append_signature(report: Report, form: SymMatrix, tol: float) -> None:
     """Signature and canonical type; a form with negative squares has none."""
     sig = frame.signature(frame.FrameFunction(form), tol)
-    report.add("signature", asdict(sig))
+    report.add("signature", dict(vars(sig)))
     report.add("classification", sig.positive if sig.negative == 0 else None)
     if sig.negative:
         report.add("classification_note", "negative squares present; no positive canonical type")
@@ -173,7 +178,7 @@ def _append_form_analysis(report: Report, form: SymMatrix, tol: float) -> None:
         report.add("quantum", True)
         mixture = density.spectral_mixture(rho)
         report.add("mixture_weights", [w for w, _ in mixture])
-        report.add("mixture_components", [list(v.components) for _, v in mixture])
+        report.add("mixture_components", [v.components for _, v in mixture])
     _append_signature(report, form, tol)
 
 
@@ -319,7 +324,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
 
 def _default_fixtures() -> Path:
-    return Path(str(resources.files(__package__).joinpath("fixtures")))
+    return Path(__file__).with_name("fixtures")
 
 
 def _show(value) -> str:
@@ -338,7 +343,7 @@ def _first_failure(checks) -> str | None:
             ok = got == expected
         else:
             g, e = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
-            ok = g.shape == e.shape and bool(np.all(np.abs(g - e) <= tol))
+            ok = g.shape == e.shape and bool((abs(g - e) <= tol).all())
         if not ok:
             return f"{what}: got {_show(got)}, expected {_show(expected)}"
     return None

@@ -8,6 +8,7 @@ rank-deficient states such as pure-state projectors are legitimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,10 +50,10 @@ class StateVector:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        x = real_array(self.components, "state vector").reshape(-1)
+        x = real_array(self.components, "state vector").ravel()
         if x.shape[0] < 1:
             raise DimensionMismatch("state vector must have dimension >= 1")
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(x.dot(x))  # np.linalg.norm's dot on contiguous x: same bits and warnings
         if not abs(norm - 1.0) <= _NORM_SLACK:
             raise NotNormalized(f"vector norm {norm:.6g} is not within 1e-6 of 1")
         x = x / norm
@@ -179,15 +180,15 @@ def spectral_mixture(rho: DensityOperator) -> list[tuple[float, StateVector]]:
     """
     dec = rho.matrix.spectrum
     pairs = []
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+    for lam, vec in zip(dec.eigenvalues.tolist(), dec.eigenvectors.T):
         if lam > DEFAULT_TOL:
-            pairs.append((float(lam), _sign_normalized(vec)))
-    pairs.sort(key=lambda p: (-p[0], tuple(p[1])))
+            pairs.append((lam, _sign_normalized(vec)))
+    pairs.sort(key=lambda p: (-p[0], p[1].tolist()))
     return [(w, StateVector(v)) for w, v in pairs]
 
 
 def _sign_normalized(vec: np.ndarray) -> np.ndarray:
-    for c in vec:
+    for c in vec.tolist():
         if abs(c) > 1e-12:
             return vec.copy() if c > 0 else -vec
     return vec.copy()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -111,19 +111,19 @@ class FrameOracle:
 
     @classmethod
     def from_frame_function(cls, f: FrameFunction) -> "FrameOracle":
-        return cls(evaluator=lambda x: evaluate(f, x), dim=f.dim)
+        return cls(evaluator=partial(evaluate, f), dim=f.dim)
 
 
 def evaluate(f: FrameFunction, x) -> float:
     """f(x) = x^T A x for a unit vector x."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != f.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, form has {f.dim}")
+    a, s = f._scaled_form
+    if len(x) != len(a):
+        raise DimensionMismatch(f"point has dimension {len(x)}, form has {f.dim}")
     norm = math.sqrt(x @ x)
     if not abs(norm - 1.0) <= DEFAULT_TOL:
         raise NotUnit(f"|x| = {norm:.12g} is not 1")
-    a, s = f._scaled_form
-    return float(x @ a @ x) * s
+    return float(x.dot(a).dot(x)) * s  # x @ a @ x bit for bit, with less dispatch
 
 
 def from_density(rho: DensityOperator) -> FrameFunction:
@@ -253,8 +253,8 @@ def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     w = f.form.spectrum.eigenvalues
-    positive = int(np.sum(w > tol))
-    negative = int(np.sum(w < -tol))
+    positive = int(np.count_nonzero(w > tol))
+    negative = int(np.count_nonzero(w < -tol))
     return Signature(positive, negative, f.dim - positive - negative)
 
 

@@ -105,11 +105,11 @@ class GreechieDiagram:
 
     @cached_property
     def incidence(self) -> np.ndarray:
-        incidence = np.zeros((len(self.blocks), len(self.atoms)), dtype=bool)
-        for b, block in enumerate(self._block_positions):
-            incidence[b, block] = True
+        n = len(self.atoms)
+        incidence = np.zeros(len(self.blocks) * n, dtype=bool)
+        incidence[[b * n + a for b, pos in enumerate(self._block_positions) for a in pos]] = True
         incidence.flags.writeable = False
-        return incidence
+        return incidence.reshape(len(self.blocks), n)
 
     @cached_property
     def _block_pairs(self) -> np.ndarray:
@@ -117,16 +117,14 @@ class GreechieDiagram:
 
         Pairs come block by block, each in ``itertools.combinations`` order.
         """
-        pairs = np.array(
-            [
-                (u, w, b)
-                for b, block in enumerate(self._block_positions)
-                for u, w in itertools.combinations(block, 2)
-            ],
-            dtype=np.intp,
-        ).reshape(-1, 3).T
-        pairs.flags.writeable = False
-        return pairs
+        pairs = [
+            (u, w, b)
+            for b, block in enumerate(self._block_positions)
+            for u, w in itertools.combinations(block, 2)
+        ]
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), np.intp, 3 * len(pairs))
+        flat.flags.writeable = False
+        return flat.reshape(-1, 3).T
 
     def _aligned(self, keyed: ProbabilityAssignment | VectorRealization, what: str) -> np.ndarray:
         """``keyed``'s read-only rows in ``atoms`` order: its own array if so keyed, else a gather.
@@ -154,9 +152,11 @@ def _atom_ids(ids, duplicate: str) -> tuple[str, ...]:
     return ids
 
 
-def _keep_keyed(keyed, mapping: str, what: str, rows: np.ndarray, items) -> None:
-    """Keep ``rows`` read-only as ``_rows``, keys by the atom id rule, ``mapping`` read-only."""
-    atoms = _atom_ids(getattr(keyed, mapping), what + " names atom {atom!r} twice")
+def _keep_keyed(keyed, mapping: str, atoms: tuple[str, ...], rows: np.ndarray, items) -> None:
+    """Keep ``rows`` read-only as ``_rows``, ``atoms`` as ``_atoms``, ``mapping`` read-only.
+
+    Construction ends here, and so does unpickling or copying: ``unit_rows`` again could move bits.
+    """
     rows.flags.writeable = False
     object.__setattr__(keyed, mapping, MappingProxyType(dict(zip(atoms, items))))
     object.__setattr__(keyed, "_atoms", atoms)
@@ -175,8 +175,15 @@ class ProbabilityAssignment:
     _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = [float(v) for v in self.values.values()]
-        _keep_keyed(self, "values", "assignment", np.array(values), values)
+        values = np.array([float(v) for v in self.values.values()])
+        self.__setstate__((_atom_ids(self.values, "assignment names atom {atom!r} twice"), values))
+
+    def __getstate__(self):
+        return self._atoms, self._rows
+
+    def __setstate__(self, state) -> None:
+        atoms, rows = state
+        _keep_keyed(self, "values", atoms, rows, rows.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,9 +215,16 @@ class VectorRealization:
             if not any(components):
                 raise InvalidRealization(f"vector for {atom!r} is zero")
             rows.append(v)
-        u = unit_rows(np.array(rows).reshape(len(rows), dim))
-        _keep_keyed(self, "vectors", "realization", u, u)
-        object.__setattr__(self, "dim", dim)
+        atoms = _atom_ids(self.vectors, "realization names atom {atom!r} twice")
+        self.__setstate__((atoms, unit_rows(np.array(rows).reshape(len(rows), dim))))
+
+    def __getstate__(self):
+        return self._atoms, self._rows
+
+    def __setstate__(self, state) -> None:
+        atoms, rows = state
+        _keep_keyed(self, "vectors", atoms, rows, rows)
+        object.__setattr__(self, "dim", rows.shape[1])
 
 
 @dataclass(frozen=True)

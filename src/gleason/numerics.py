@@ -58,7 +58,7 @@ def real_array(a, what: str) -> np.ndarray:
 
 def _pow2_floor(peak):
     """2^floor(log2 peak), entrywise (0.5 where peak is 0): dividing by it is exact."""
-    return np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    return np.ldexp(0.5, np.frexp(peak)[1])
 
 
 def pow2_rescale(v) -> tuple[np.ndarray, float]:
@@ -97,22 +97,22 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(real_array(self.entries, "matrix"))
+        a = real_array(self.entries, "matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatch("matrix must have dimension >= 1")
-        if not np.isfinite(a).all():
+        peak = float(abs(a).max())  # NaN or inf exactly when some entry is
+        if not math.isfinite(peak):
             raise ValueError("matrix has non-finite entries")
-        a *= 0.5  # halved first: a - a^T and a + a^T overflow near the float limit
+        a = a * 0.5  # halved first: a - a^T and a + a^T overflow near the float limit
         asym = 2.0 * float(abs(a - a.T).max())
-        # The scale (of 2a: a is halved) is taken only past the absolute limit.
-        if asym > _ASYMMETRY_LIMIT and asym > scaled_tol(_ASYMMETRY_LIMIT, 2.0 * a):
+        if asym > _ASYMMETRY_LIMIT and asym > scaled_tol(_ASYMMETRY_LIMIT, peak):
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
         a = a + a.T
-        # Partial sums of the trace stay below 2 n max |a_ii|, so only near
+        # Partial sums of the trace stay below 2 n max |a_ij|, so only near
         # the float limit can it overflow; there it is summed without warning.
-        if 2.0 * len(a) * max(map(abs, a.diagonal().tolist())) > sys.float_info.max:
+        if 2.0 * len(a) * peak > sys.float_info.max:
             with np.errstate(over="ignore", invalid="ignore"):
                 if not math.isfinite(np.trace(a)):
                     raise ValueError("matrix trace overflows float64")
@@ -167,7 +167,7 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
+    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +407,7 @@ def content_lines(text: str):
     count every line of ``text``, from 1, so messages can name file lines.
     """
     for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()  # most lines have no "#"
         if tokens:
             yield lineno, tokens
 

@@ -13,12 +13,17 @@ for systems its QR path cannot certify. ``reference_atom_ids`` is the three
 coercions that the atom id rule replaces, for inputs whose ids are distinct
 after ``str``. ``reference_vector_failure`` replaces nothing: it is the
 library's own atom-by-atom order, with numpy checks where ``VectorRealization``
-checks each row's Python floats.
+checks each row's Python floats. ``reference_render_structured`` and
+``reference_render_text`` are the CLI's report renderers with one generic
+``json.dumps``, ``reference_block_pairs`` and ``reference_incidence`` build a
+diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
+each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -287,3 +292,90 @@ def reference_least_squares(rows, rhs) -> tuple[np.ndarray, bool]:
     b = np.asarray(rhs, dtype=float).reshape(-1)
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return x, int(rank) < a.shape[1]
+
+
+def _reference_jsonable(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    return value
+
+
+def reference_render_structured(report) -> str:
+    """A CLI report as JSON: native values, then ``json.dumps(..., indent=2)``."""
+    payload = {
+        "command": report.command,
+        "inputs": _reference_jsonable(report.inputs),
+        "verdicts": [
+            {"name": name, "value": _reference_jsonable(value)} for name, value in report.verdicts
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _reference_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".6g")
+    return str(value)
+
+
+def reference_render_text(report) -> str:
+    """A CLI report as text: one line per input and verdict, list items indented below."""
+    lines = [f"# {report.command}"]
+    lines += [f"input {key}: {_reference_scalar(value)}" for key, value in report.inputs.items()]
+    for name, value in report.verdicts:
+        value = _reference_jsonable(value)
+        if isinstance(value, list):
+            lines.append(f"{name}:")
+            for item in value:
+                if isinstance(item, list):
+                    lines.append("  " + " ".join(_reference_scalar(v) for v in item))
+                elif isinstance(item, dict):
+                    pairs = (f"{k}={_reference_scalar(v)}" for k, v in item.items())
+                    lines.append("  - " + "  ".join(pairs))
+                else:
+                    lines.append(f"  - {_reference_scalar(item)}")
+        elif isinstance(value, dict):
+            pairs = (f"{k}={_reference_scalar(v)}" for k, v in value.items())
+            lines.append(f"{name}: " + "  ".join(pairs))
+        else:
+            lines.append(f"{name}: {_reference_scalar(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_block_pairs(diagram: GreechieDiagram) -> np.ndarray:
+    """Rows (first, second, block) of atom positions, block by block, pair by pair."""
+    position = {atom: i for i, atom in enumerate(diagram.atoms)}
+    pairs = [
+        (position[u], position[w], b)
+        for b, block in enumerate(diagram.blocks)
+        for u, w in itertools.combinations(block, 2)
+    ]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+
+
+def reference_incidence(diagram: GreechieDiagram) -> np.ndarray:
+    """Blocks x atoms, True where the atom lies in the block, set atom by atom."""
+    incidence = np.zeros((len(diagram.blocks), len(diagram.atoms)), dtype=bool)
+    for b, block in enumerate(diagram.blocks):
+        for atom in block:
+            incidence[b, diagram.atoms.index(atom)] = True
+    return incidence
+
+
+def reference_spectral_mixture(rho: DensityOperator) -> list[tuple[float, np.ndarray]]:
+    """(weight, unit ray) per eigenvalue above 1e-9: first significant component positive,
+    sorted by weight, then by ray; each ray divided by its ``np.linalg.norm``."""
+    dec = rho.matrix.spectrum
+    pairs = []
+    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+        if lam > 1e-9:
+            lead = next((c for c in vec if abs(c) > 1e-12), 1.0)
+            pairs.append((float(lam), vec.copy() if lead > 0 else -vec))
+    pairs.sort(key=lambda p: (-p[0], tuple(p[1])))
+    return [(w, v / float(np.linalg.norm(v))) for w, v in pairs]

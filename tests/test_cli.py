@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -29,6 +30,7 @@ from gleason.cli import (
     render_text,
 )
 import cli_digest
+from support import reference_render_structured, reference_render_text
 
 FIXTURES = _default_fixtures()
 BOM = b"\xef\xbb\xbf"
@@ -116,6 +118,35 @@ class TestDensityToFrame:
         assert code == EXIT_PARSE
 
 
+class TestUnreadableFile:
+    """The read path's failures: exit 2 with the operating system's text, naming the path."""
+
+    @pytest.mark.parametrize(
+        "argv", [["signature"], ["reconstruct"], ["greechie", "check"]], ids=" ".join
+    )
+    def test_missing_file_and_directory(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        assert run(capsys, *argv, str(missing)) == (
+            EXIT_PARSE,
+            "",
+            f"error: [Errno 2] No such file or directory: '{missing}'\n",
+        )
+        assert run(capsys, *argv, str(tmp_path)) == (
+            EXIT_PARSE,
+            "",
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n",
+        )
+
+    def test_demo_with_a_missing_fixtures_directory(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, "demo-paper", "--fixtures", str(missing))
+        assert (code, err) == (EXIT_DEMO_FAIL, "")
+        for name, _ in DEMO_CASES:
+            prefix = f"{name}: FAIL: FileNotFoundError: [Errno 2] No such file or directory: "
+            assert any(line.startswith(f"{prefix}'{missing}/") for line in out.splitlines()), name
+        assert "failed: 13\n" in out
+
+
 class TestRendering:
     def test_bell_mixture_frame_function(self, capsys):
         code, out, _ = run(capsys, "density-to-frame", str(FIXTURES / "bell_mixture.mat"))
@@ -194,6 +225,18 @@ class TestRendering:
         }
         kinds = [type(v["value"]) for v in payload["verdicts"][6:12]]
         assert kinds == [bool, bool, float, float, int, int]
+        assert render_text(report) == reference_render_text(report)
+        assert render_structured(report) == reference_render_structured(report)
+
+    def test_acceptance_reports_render_as_the_reference(self):
+        # Every report of tests/cli_digest.py, structured reconstruct and KS-18
+        # feasibility too, which neither snapshot file holds.
+        parser = cli.build_parser()
+        for argv in cli_digest.invocations():
+            args = parser.parse_args(argv)
+            report, _ = args.handler(args)
+            assert render_structured(report) == reference_render_structured(report), argv
+            assert render_text(report) == reference_render_text(report), argv
 
 
 # 1e9-scale form whose signature is fine; its entries span ten decades.
@@ -970,3 +1013,11 @@ class TestHarness:
             assert digest["stderr"] == empty, argv
             assert digest["exit"] == (EXIT_INFEASIBLE if verdict in infeasible else EXIT_OK), argv
         assert sum(digest["exit"] == EXIT_INFEASIBLE for digest in runs) == 10
+
+    def test_digest_covers_the_benchmarked_cli_traffic(self, monkeypatch):
+        # So a bit-for-bit claim on perfbench's paper-cli workload is one the digest checks.
+        monkeypatch.syspath_prepend(str(cli_digest.ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        benchmarked = [op.inputs[0] for op in workloads.build("paper-cli", 1)]
+        assert len(benchmarked) == 102
+        assert set(benchmarked) <= set(map(tuple, cli_digest.invocations()))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gleason.density import (
 )
 from gleason.frame import FrameFunction, evaluate
 from gleason.numerics import DimensionMismatch, SymMatrix
-from support import random_density, random_orthonormal, random_unit
+from support import random_density, random_orthonormal, random_unit, reference_spectral_mixture
 
 SQ2 = math.sqrt(2.0)
 SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
@@ -40,6 +41,33 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
         with pytest.raises(NotNormalized):
             StateVector(np.array([math.nan, 0.0]))
+
+    @pytest.mark.parametrize("exponent", [-300, -150, 0, 150, 300])
+    def test_norm_is_numpys_bit_for_bit(self, exponent):
+        # Contiguous, strided, reversed and 2-D input; near 1 the components are x / norm,
+        # elsewhere the error names the norm, and overflow warns as np.linalg.norm does.
+        rng = np.random.default_rng(exponent + 1000)
+        for n in (1, 2, 3, 4, 7, 33):
+            for _ in range(10):
+                x = rng.standard_normal(2 * n)
+                if exponent == 0:
+                    x *= (1.0 + rng.uniform(-1e-7, 1e-7)) / np.linalg.norm(x[::2])
+                x *= 10.0**exponent
+                for v in (x[:n], x[::2], x[-2::-2], x[:n].reshape(1, n)):
+                    with warnings.catch_warnings(record=True) as expected:
+                        warnings.simplefilter("always")
+                        norm = float(np.linalg.norm(v))
+                    with warnings.catch_warnings(record=True) as seen:
+                        warnings.simplefilter("always")
+                        if abs(norm - 1.0) <= 1e-6:
+                            got = StateVector(v).components
+                            assert got.tobytes() == (v.reshape(-1) / norm).tobytes()
+                        else:
+                            with pytest.raises(NotNormalized) as raised:
+                                StateVector(v)
+                            message = f"vector norm {norm:.6g} is not within 1e-6 of 1"
+                            assert str(raised.value) == message
+                    assert [str(w.message) for w in seen] == [str(w.message) for w in expected]
 
     def test_rejects_an_empty_vector(self):
         with pytest.raises(DimensionMismatch, match=r"^state vector must have dimension >= 1$"):
@@ -285,6 +313,19 @@ class TestSpectralMixture:
             assert np.max(np.abs(vectors @ vectors.T - np.eye(len(mixture)))) <= 1e-12
             rebuilt = sum(w * np.outer(v.components, v.components) for w, v in mixture)
             assert np.max(np.abs(rebuilt - rho.matrix.entries)) <= 1e-12
+
+    def test_matches_reference_bit_for_bit(self):
+        # Weights, order and ray bits, degenerate weights (ordered by ray) included.
+        rng = np.random.default_rng(37)
+        rhos = [random_density(rng, n) for n in (2, 3, 4, 6, 8) for _ in range(8)]
+        for spectrum in ((0.5, 0.5), (0.25,) * 4, (0.5, 0.25, 0.25, 0.0)):
+            q = random_orthonormal(rng, len(spectrum))
+            a = q.T @ np.diag(spectrum) @ q
+            rhos.append(DensityOperator(SymMatrix((a + a.T) / 2.0)))
+        rhos.append(DensityOperator(SymMatrix(np.diag([0.5, 0.5, 0.0]))))
+        for rho in rhos:
+            got = [(w, v.components.tobytes()) for w, v in spectral_mixture(rho)]
+            assert got == [(w, v.tobytes()) for w, v in reference_spectral_mixture(rho)]
 
     def test_round_trip_through_mix(self):
         rng = np.random.default_rng(23)

@@ -1,6 +1,9 @@
+import copy
 import gc
 import itertools
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,9 @@ from support import (
     random_orthonormal,
     random_symmetric,
     reference_atom_ids,
+    reference_block_pairs,
     reference_check_realization,
+    reference_incidence,
     reference_reconstructed,
     reference_unit_row,
     reference_validate_state,
@@ -216,6 +221,52 @@ class TestKeyedInputs:
                 assert (got.shape, got.dtype) == (want.shape, want.dtype)
                 assert got.tobytes() == want.tobytes()
                 assert (got is keyed._rows) == (keyed._atoms == atoms)
+
+
+KS18_TEXT = (Path(__file__).resolve().parents[1] / "perfbench" / "ks18.greechie").read_text()
+
+
+class TestPickling:
+    """A pickle or a deep copy keeps the state, read-only, and the answers on it."""
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_round_trip(self, copy_of):
+        # The pentagon's rows are not a fixed point of unit_rows: two entries would move
+        # if loading normalised them again.
+        ks18 = parse_greechie_text(KS18_TEXT)
+        cases = (builtin_wright_pentagon(), (ks18.diagram, ks18.realization, ks18.assignment))
+        for diagram, realization, measure in cases:
+            loaded = {"vectors": copy_of(realization), "values": copy_of(measure)}
+            for mapping, original in (("vectors", realization), ("values", measure)):
+                got, want = loaded[mapping]._rows, original._rows
+                assert type(loaded[mapping]) is type(original)
+                assert loaded[mapping]._atoms == original._atoms
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(TypeError):
+                    getattr(loaded[mapping], mapping)["x"] = 0.5
+            assert loaded["vectors"].dim == realization.dim
+            assert list(loaded["values"].values.items()) == list(measure.values.items())
+            for atom, row in loaded["vectors"].vectors.items():
+                assert row.tobytes() == realization.vectors[atom].tobytes()
+            r, m = loaded["vectors"], loaded["values"]
+            assert check_realization(diagram, r) == check_realization(diagram, realization)
+            got = quantum_feasibility(diagram, r, m)
+            want = quantum_feasibility(diagram, realization, measure)
+            assert (got.realizable, got.certificate) == (want.realizable, want.certificate)
+            if want.realizable:
+                assert got.density.matrix.entries.tobytes() == want.density.matrix.entries.tobytes()
+
+    def test_parsed_file_deep_copies(self):
+        parsed = parse_greechie_text(KS18_TEXT)
+        copied = copy.deepcopy(parsed)
+        assert copied.assignment._rows.tobytes() == parsed.assignment._rows.tobytes()
+        assert copied.realization._rows.tobytes() == parsed.realization._rows.tobytes()
 
 
 class TestValidateState:
@@ -521,6 +572,24 @@ class TestIndexArrays:
         diagram = GreechieDiagram((), ())
         assert diagram.incidence.shape == (0, 0)
         assert check_realization(diagram, VectorRealization({})) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_index_arrays_match_reference(self, seed):
+        # One block of 2 atoms, then blocks of 3 to 5, atoms in random order within each.
+        rng = np.random.default_rng(seed)
+        atoms = [f"a{k}" for k in range(int(rng.integers(3, 12)))]
+        blocks = [tuple(rng.choice(atoms, size=2, replace=False).tolist())]
+        while {a for block in blocks for a in block} != set(atoms):
+            size = int(rng.integers(3, min(5, len(atoms)) + 1))
+            blocks.append(tuple(rng.choice(atoms, size=size, replace=False).tolist()))
+        diagram = GreechieDiagram(tuple(rng.permutation(atoms).tolist()), tuple(blocks))
+        for got, want in (
+            (diagram._block_pairs, reference_block_pairs(diagram)),
+            (diagram.incidence, reference_incidence(diagram)),
+        ):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     @pytest.mark.parametrize("seed", range(30))
     def test_check_realization_matches_reference(self, seed):

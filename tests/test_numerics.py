@@ -256,6 +256,13 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
+    def test_leaves_its_input_alone(self):
+        a = np.array([[1.0, 2.0 + 5e-13], [2.0, 3.0]])
+        given = a.copy()
+        m = SymMatrix(a)
+        assert a.tobytes() == given.tobytes() and a.flags.writeable
+        assert not np.shares_memory(m.entries, a)
+
 
 class TestEigh:
     def test_identity(self):
