@@ -324,7 +324,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 
 
 def _default_fixtures() -> Path:
-    return Path(__file__).with_name("fixtures")
+    return greechie.FIXTURES
 
 
 def _show(value) -> str:

@@ -53,10 +53,10 @@ class StateVector:
         x = real_array(self.components, "state vector").ravel()
         if x.shape[0] < 1:
             raise DimensionMismatch("state vector must have dimension >= 1")
-        norm = math.sqrt(x.dot(x))  # np.linalg.norm's dot on contiguous x: same bits and warnings
+        norm = math.hypot(*x.tolist())  # never overflows, so an oversize x is refused, not warned on
         if not abs(norm - 1.0) <= _NORM_SLACK:
             raise NotNormalized(f"vector norm {norm:.6g} is not within 1e-6 of 1")
-        x = x / norm
+        x = x / math.sqrt(x.dot(x))  # np.linalg.norm's dot on contiguous x: the same bits
         x.flags.writeable = False
         object.__setattr__(self, "components", x)
 
@@ -182,13 +182,9 @@ def spectral_mixture(rho: DensityOperator) -> list[tuple[float, StateVector]]:
     pairs = []
     for lam, vec in zip(dec.eigenvalues.tolist(), dec.eigenvectors.T):
         if lam > DEFAULT_TOL:
-            pairs.append((lam, _sign_normalized(vec)))
+            for c in vec.tolist():  # a unit vector has a component above 1e-12
+                if abs(c) > 1e-12:
+                    break
+            pairs.append((lam, vec.copy() if c > 0 else -vec))  # its first one made positive
     pairs.sort(key=lambda p: (-p[0], p[1].tolist()))
     return [(w, StateVector(v)) for w, v in pairs]
-
-
-def _sign_normalized(vec: np.ndarray) -> np.ndarray:
-    for c in vec.tolist():
-        if abs(c) > 1e-12:
-            return vec.copy() if c > 0 else -vec
-    return vec.copy()

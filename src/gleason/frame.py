@@ -120,7 +120,7 @@ def evaluate(f: FrameFunction, x) -> float:
     a, s = f._scaled_form
     if len(x) != len(a):
         raise DimensionMismatch(f"point has dimension {len(x)}, form has {f.dim}")
-    norm = math.sqrt(x @ x)
+    norm = math.hypot(*x.tolist())  # never overflows, so an oversize x is refused, not warned on
     if not abs(norm - 1.0) <= DEFAULT_TOL:
         raise NotUnit(f"|x| = {norm:.12g} is not 1")
     return float(x.dot(a).dot(x)) * s  # x @ a @ x bit for bit, with less dispatch

@@ -19,6 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -46,6 +47,9 @@ from .numerics import (
 FEASIBILITY_TOL = 1e-8
 
 _ZERO_PROB_TOL = 1e-12
+
+#: The data files shipped with the package, the pentagon's among them.
+FIXTURES = Path(__file__).with_name("fixtures")
 
 
 class UnknownAtom(ValueError):
@@ -544,29 +548,12 @@ def builtin_wright_pentagon() -> tuple[GreechieDiagram, VectorRealization, Proba
     """The 10-atom, 5-block pentagon with its classic extreme measure.
 
     Blocks are {a_i, b_i, a_(i+1 mod 5)}; the b_i sit between consecutive
-    a-vertices. The stored coordinates are closed-form radicals, normalized
-    on load since they are span representatives; the measure puts 1/2 on
-    every a_i and 0 on every b_i, so each block sums to 1 exactly.
+    a-vertices. Atoms, blocks, coordinates and measure are the parse of the
+    bundled ``pentagon.greechie``; the measure puts 1/2 on every a_i and 0 on
+    every b_i, so each block sums to 1 exactly.
     """
-    s5 = math.sqrt(5.0)
-    spans = {
-        "a0": (math.sqrt(s5), math.sqrt(2.0 + s5), math.sqrt(3.0 + s5)),
-        "b0": (math.sqrt(s5), -math.sqrt(2.0 + s5), math.sqrt(3.0 - s5)),
-        "a1": (-math.sqrt(s5), -math.sqrt(s5 - 2.0), math.sqrt(2.0)),
-        "b1": (0.0, math.sqrt(2.0), math.sqrt(s5 - 2.0)),
-        "a2": (math.sqrt(s5), -math.sqrt(s5 - 2.0), math.sqrt(2.0)),
-        "b2": (-math.sqrt(s5), -math.sqrt(2.0 + s5), math.sqrt(3.0 - s5)),
-        "a3": (-math.sqrt(s5), math.sqrt(2.0 + s5), math.sqrt(3.0 + s5)),
-        "b3": (math.sqrt(5.0 + s5), math.sqrt(3.0 - s5), 2.0 * math.sqrt(s5 - 2.0)),
-        "a4": (0.0, -math.sqrt(s5 - 1.0), 1.0),
-        "b4": (-math.sqrt(5.0 + s5), math.sqrt(3.0 - s5), 2.0 * math.sqrt(s5 - 2.0)),
-    }
-    atoms = tuple(f"a{i}" for i in range(5)) + tuple(f"b{i}" for i in range(5))
-    blocks = tuple((f"a{i}", f"b{i}", f"a{(i + 1) % 5}") for i in range(5))
-    diagram = GreechieDiagram(atoms, blocks)
-    realization = VectorRealization(spans)
-    measure = ProbabilityAssignment(dict.fromkeys(atoms[:5], 0.5) | dict.fromkeys(atoms[5:], 0.0))
-    return diagram, realization, measure
+    parsed = parse_greechie_text((FIXTURES / "pentagon.greechie").read_text(encoding="utf-8"))
+    return parsed.diagram, parsed.realization, parsed.assignment
 
 
 def builtin_spin_half_family(

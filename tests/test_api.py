@@ -8,7 +8,7 @@ PUBLIC_NAMES = """
     BadWeights DEFAULT_TOL Decomposition DensityOperator DimensionMismatch DuplicateDirection
     EigenDecomposition FrameFunction FrameOracle GreechieDiagram GreechieFile GreechieFormatError
     InfeasibilityCertificate InvalidRealization InvalidState LeastSquaresSolution
-    LinearlyDependent MatrixFormatError NotAFrameFunction NotNormalized NotPositive
+    LinearlyDependent MatrixFormatError NotAFrameFunction NotAProjector NotNormalized NotPositive
     NotPositiveSemidefinite NotQuantum NotUnit ProbabilityAssignment Projector PurityReport
     QuantumFeasibility SampledReconstruction Signature StateVector SymMatrix TraceNotOne
     UnknownAtom VectorRealization Violation born_probability builtin_spin_half_family

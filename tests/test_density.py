@@ -44,8 +44,9 @@ class TestStateVector:
 
     @pytest.mark.parametrize("exponent", [-300, -150, 0, 150, 300])
     def test_norm_is_numpys_bit_for_bit(self, exponent):
-        # Contiguous, strided, reversed and 2-D input; near 1 the components are x / norm,
-        # elsewhere the error names the norm, and overflow warns as np.linalg.norm does.
+        # Contiguous, strided, reversed and 2-D input; near 1 the components are x / norm
+        # with np.linalg.norm's bits, elsewhere the error names math.hypot's norm, which
+        # neither overflows nor underflows, and nothing warns.
         rng = np.random.default_rng(exponent + 1000)
         for n in (1, 2, 3, 4, 7, 33):
             for _ in range(10):
@@ -54,20 +55,25 @@ class TestStateVector:
                     x *= (1.0 + rng.uniform(-1e-7, 1e-7)) / np.linalg.norm(x[::2])
                 x *= 10.0**exponent
                 for v in (x[:n], x[::2], x[-2::-2], x[:n].reshape(1, n)):
-                    with warnings.catch_warnings(record=True) as expected:
-                        warnings.simplefilter("always")
-                        norm = float(np.linalg.norm(v))
+                    checked = math.hypot(*v.reshape(-1).tolist())
                     with warnings.catch_warnings(record=True) as seen:
                         warnings.simplefilter("always")
-                        if abs(norm - 1.0) <= 1e-6:
+                        if abs(checked - 1.0) <= 1e-6:
                             got = StateVector(v).components
-                            assert got.tobytes() == (v.reshape(-1) / norm).tobytes()
+                            assert got.tobytes() == (v.reshape(-1) / np.linalg.norm(v)).tobytes()
                         else:
                             with pytest.raises(NotNormalized) as raised:
                                 StateVector(v)
-                            message = f"vector norm {norm:.6g} is not within 1e-6 of 1"
+                            message = f"vector norm {checked:.6g} is not within 1e-6 of 1"
                             assert str(raised.value) == message
-                    assert [str(w.message) for w in seen] == [str(w.message) for w in expected]
+                    assert [str(w.message) for w in seen] == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_oversize_vector_is_refused_without_a_warning(self):
+        # Squaring it overflows; the norm the check takes does not.
+        message = r"^vector norm 1\.41421e\+200 is not within 1e-6 of 1$"
+        with pytest.raises(NotNormalized, match=message):
+            StateVector([1e200, 1e200])
 
     def test_rejects_an_empty_vector(self):
         with pytest.raises(DimensionMismatch, match=r"^state vector must have dimension >= 1$"):
@@ -234,6 +240,14 @@ class TestProjector:
     def test_overflowing_square_is_refused_without_a_warning(self, entries):
         # e @ e overflows (and, in the second, meets inf - inf); tier-1 runs with warnings as errors.
         with pytest.raises(NotAProjector, match="^matrix is not idempotent$"):
+            Projector(SymMatrix(entries))
+
+    def test_rejects_eigenvalues_off_zero_and_one(self):
+        # 1.5e-9 v v^T passes the idempotence test (max |A^2 - A| = 7.5e-10), not the spectrum's.
+        v = np.array([1.0, 1.0]) / SQ2
+        entries = 1.5e-9 * np.outer(v, v)
+        assert float(np.max(np.abs(entries @ entries - entries))) <= 1e-9
+        with pytest.raises(NotAProjector, match=r"^eigenvalues are not all in \{0, 1\}$"):
             Projector(SymMatrix(entries))
 
     def test_onto_span(self):

@@ -112,6 +112,13 @@ class TestEvaluate:
         with pytest.raises(NotUnit):
             evaluate(f, np.array([math.nan, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_oversize_point_is_refused_without_a_warning(self):
+        # Squaring it overflows; the norm the check takes does not.
+        f = FrameFunction(SymMatrix(np.eye(2)))
+        with pytest.raises(NotUnit, match=r"^\|x\| = 1e\+200 is not 1$"):
+            evaluate(f, [1e200, 0.0])
+
     def test_rejects_a_point_of_another_dimension(self):
         f = FrameFunction(SymMatrix(np.eye(2)))
         with pytest.raises(DimensionMismatch, match=r"^point has dimension 3, form has 2$"):

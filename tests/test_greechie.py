@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gleason.cli import _default_fixtures
 from gleason.greechie import (
     Decomposition,
     DuplicateDirection,
@@ -32,6 +33,7 @@ from gleason.numerics import DEFAULT_TOL, DimensionMismatch
 from support import (
     brute_force_two_valued,
     highs_lp_feasible,
+    pentagon_b_vectors,
     random_density,
     random_diagram,
     random_orthonormal,
@@ -235,8 +237,8 @@ class TestPickling:
         ids=["pickle", "deepcopy"],
     )
     def test_round_trip(self, copy_of):
-        # The pentagon's rows are not a fixed point of unit_rows: two entries would move
-        # if loading normalised them again.
+        # KS-18 carries the check: its rows are not a fixed point of unit_rows, and 18 entries
+        # would move if loading normalised them again. The pentagon's rows are one.
         ks18 = parse_greechie_text(KS18_TEXT)
         cases = (builtin_wright_pentagon(), (ks18.diagram, ks18.realization, ks18.assignment))
         for diagram, realization, measure in cases:
@@ -631,6 +633,22 @@ class TestIndexArrays:
         assert list(got) == list(atoms)
         # Each side sums at most len(states) weights in [0, 1] with total 1, in its own order.
         assert max(abs(got[a] - want[a]) for a in atoms) <= 2 * len(states) * np.finfo(float).eps
+
+
+class TestBuiltinPentagon:
+    def test_is_the_parse_of_the_bundled_file(self):
+        parsed = parse_greechie_text((_default_fixtures() / "pentagon.greechie").read_text())
+        diagram, realization, measure = builtin_wright_pentagon()
+        assert (diagram.atoms, diagram.blocks) == (parsed.diagram.atoms, parsed.diagram.blocks)
+        for got, want in ((realization, parsed.realization), (measure, parsed.assignment)):
+            assert got._atoms == want._atoms
+            assert (got._rows.shape, got._rows.dtype) == (want._rows.shape, want._rows.dtype)
+            assert got._rows.tobytes() == want._rows.tobytes()
+
+    def test_b_rays_match_the_closed_form(self):
+        _, realization, _ = builtin_wright_pentagon()
+        b = np.array([realization.vectors[f"b{i}"] for i in range(5)])
+        assert np.max(np.abs(b - pentagon_b_vectors())) <= 1.2e-16
 
 
 class TestCheckRealization:
