@@ -1,7 +1,11 @@
 """Command-line front end.
 
 ``build_parser`` builds the argument parser once per process, on its first
-call, and returns that same parser to every later call, ``main``'s included.
+call, and returns that same parser to every later call. When ``argv`` starts
+with a command name, ``main`` hands the rest straight to that command's own
+parser, as the top-level parser would, and takes the full parse only for
+anything else or for leftover arguments; either way the namespace, help,
+usage and error texts are the top-level parser's.
 Reports are built once and rendered either as human-readable text (6
 significant digits) or as JSON whose numbers round-trip at full precision.
 Exit codes are a stable contract:
@@ -533,12 +537,17 @@ def _positive_tol(token: str) -> float:
     return value
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every later one.
 
     ``parse_args`` leaves the parser as it was, so one serves every ``main`` call.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by command name, the parser it hands each command to."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -596,11 +605,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", dest="list_cases", help="list case names only")
     p.add_argument("--fixtures", type=Path, default=None, help="override the fixtures directory")
     p.set_defaults(handler=_cmd_demo)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:  # what the top-level parser would hand this command's parser
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:  # usage, help and error texts come from the full parse
+        args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
     except (MatrixFormatError, greechie.GreechieFormatError, OSError) as exc:

@@ -287,33 +287,39 @@ def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...
     """All {0,1} states, as tuples of ints 0 and 1 over ``diagram.atoms``, sorted.
 
     The empty list means that no two-valued state exists. Backtracks block by
-    block over one row of -1 (unassigned), 0 and 1; choosing a block's 1-atom
-    sets its other unassigned atoms to 0, which propagates through shared
-    atoms. Every atom lies in some block, so no finished row keeps a -1.
+    block over two int masks, the atoms set to 1 and those set to 0, with atom
+    0 in the top bit so that sorting the masks sorts the rows. Choosing a
+    block's 1-atom sets its other unassigned atoms to 0, which propagates
+    through shared atoms. Every atom lies in some block, so a finished row's
+    1-mask is the whole row; one ``np.unpackbits`` turns them all into rows.
     """
-    blocks = diagram._block_positions
-    row = [-1] * len(diagram.atoms)
-    found: list[tuple[int, ...]] = []
+    n = len(diagram.atoms)
+    width = -(-n // 8)  # bytes per row; atom i is bit 8 * width - 1 - i
+    bits = [[1 << (8 * width - 1 - i) for i in block] for block in diagram._block_positions]
+    masks = [sum(block) for block in bits]
+    found: list[int] = []
 
-    def walk(index: int) -> None:
-        if index == len(blocks):
-            found.append(tuple(row))
+    def walk(index: int, ones: int, zeros: int) -> None:
+        if index == len(bits):
+            found.append(ones)
             return
-        block = blocks[index]
-        ones = [i for i in block if row[i] == 1]
-        if len(ones) > 1:
+        taken = ones & masks[index]
+        if taken & (taken - 1):  # two 1-atoms in one block
             return
-        free = [i for i in block if row[i] == -1]
-        for choice in ones or free:
-            for i in free:
-                row[i] = int(i == choice)
-            walk(index + 1)
-            for i in free:
-                row[i] = -1
+        free = masks[index] & ~(ones | zeros)
+        if taken:
+            walk(index + 1, ones, zeros | free)
+            return
+        for bit in bits[index]:
+            if bit & free:
+                walk(index + 1, ones | bit, zeros | (free ^ bit))
 
-    walk(0)
+    walk(0, 0, 0)
     del walk  # its closure cell refers to it: a cycle holding found until a full collection
-    return sorted(found)
+    found.sort()
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in found), np.uint8)
+    rows = np.unpackbits(rows.reshape(len(found), width), axis=1, count=n)
+    return list(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,6 +353,8 @@ def convex_decomposition(
     values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     states = enumerate_two_valued_states(diagram)
+    if not states:  # no columns: the weights cannot sum to 1
+        return None
     columns = np.array(states, dtype=float).reshape(len(states), len(values)).T
     rows = np.vstack([columns, np.ones(len(states))])
     target = np.append(values, 1.0)

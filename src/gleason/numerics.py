@@ -281,31 +281,33 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("feasibility system has non-finite entries")
     residual_tol = scaled_tol(tol, b)
-    norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
+    # np.linalg.norm's column norms, without its dispatch
+    norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=0)), sys.float_info.min)
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
-        gradient = np.where(active, -np.inf, a.T @ (b - a @ x) / norms)
-        if np.max(gradient, initial=-np.inf) <= residual_tol:
+        gradient = a.T @ (b - a @ x) / norms
+        gradient[active] = -np.inf
+        if gradient.max(initial=-np.inf) <= residual_tol:
             break
-        entering = int(np.argmax(gradient))
+        entering = int(gradient.argmax())
         active[entering] = True
         s = np.zeros(n)
         s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
         if s[entering] <= tol:  # > 0 in exact arithmetic: roundoff has stalled the search
             break
-        while np.any(low := active & (s <= tol)):
+        while (low := active & (s <= tol)).any():
             # x > tol >= s on low columns: step to the first zero, drop it.
             ratio = x[low] / (x[low] - s[low])
             x += ratio.min() * (s - x)
-            active[np.flatnonzero(low)[np.argmin(ratio)]] = False
+            active[np.flatnonzero(low)[ratio.argmin()]] = False
             active &= x > tol
             s = np.zeros(n)
             s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
         x = s
     else:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
-    return x if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol else None
+    return x if abs(a @ x - b).max(initial=0.0) <= residual_tol else None
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:

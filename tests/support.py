@@ -18,6 +18,9 @@ checks each row's Python floats. ``reference_render_structured`` and
 ``json.dumps``, ``reference_block_pairs`` and ``reference_incidence`` build a
 diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
+``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
+functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
+library's method calls must keep.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from gleason.greechie import (
     VectorRealization,
     Violation,
 )
-from gleason.numerics import DimensionMismatch, pow2_rescale
+from gleason.numerics import DEFAULT_TOL, DimensionMismatch, pow2_rescale, scaled_tol
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -292,6 +295,44 @@ def reference_least_squares(rows, rhs) -> tuple[np.ndarray, bool]:
     b = np.asarray(rhs, dtype=float).reshape(-1)
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return x, int(rank) < a.shape[1]
+
+
+def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+    """Witness x >= 0 with a @ x = b by Lawson-Hanson NNLS, else None; RuntimeError unsettled."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1)
+    m, n = a.shape
+    if b.shape[0] != m:
+        raise DimensionMismatch(f"{m} equations but {b.shape[0]} right-hand sides")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("feasibility system has non-finite entries")
+    residual_tol = scaled_tol(tol, b)
+    norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
+    x = np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):
+        gradient = np.where(active, -np.inf, a.T @ (b - a @ x) / norms)
+        if np.max(gradient, initial=-np.inf) <= residual_tol:
+            break
+        entering = int(np.argmax(gradient))
+        active[entering] = True
+        s = np.zeros(n)
+        s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
+        if s[entering] <= tol:
+            break
+        while np.any(low := active & (s <= tol)):
+            ratio = x[low] / (x[low] - s[low])
+            x += ratio.min() * (s - x)
+            active[np.flatnonzero(low)[np.argmin(ratio)]] = False
+            active &= x > tol
+            s = np.zeros(n)
+            s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
+        x = s
+    else:
+        raise RuntimeError("non-negative least squares did not settle in 3n steps")
+    return x if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol else None
 
 
 def _reference_jsonable(value):

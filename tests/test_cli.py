@@ -921,6 +921,88 @@ class TestParserReuse:
         assert proc.stdout == "0\n"
 
 
+def outcome(capsys, call):
+    """(return value, or ("exit", code) on SystemExit; stdout; stderr) of one call."""
+    try:
+        value = call()
+    except SystemExit as exc:
+        value = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return value, captured.out, captured.err
+
+
+class TestOneArgparsePass:
+    """main hands argv after a command name to that command's parser; every outcome
+    must be the full parse's: the namespace, or the exit code, help, usage and error text."""
+
+    UNUSUAL = [
+        [],
+        ["-h"],
+        ["nosuch"],
+        ["--format", "text", "signature", "x"],
+        ["signature"],
+        ["signature", "-h"],
+        ["signature", "x", "y"],
+        ["signature", "x", "--tol", "nan"],
+        ["greechie", "nope", "x"],
+    ]
+
+    @pytest.fixture
+    def seen(self):
+        """Namespaces main hands its handlers; each handler reports and returns EXIT_OK."""
+        seen = []
+
+        def spy(args):
+            seen.append(args)
+            return Report("spy"), EXIT_OK
+
+        parsers = set(cli._parsers()[1].values())
+        handlers = {p: p.get_default("handler") for p in parsers}
+        for p in parsers:
+            p.set_defaults(handler=spy)
+        yield seen
+        for p, handler in handlers.items():
+            p.set_defaults(handler=handler)
+
+    def check(self, capsys, seen, argv, call):
+        want = outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+        got = outcome(capsys, call)
+        if isinstance(want[0], argparse.Namespace):
+            assert (got[0], got[2]) == (EXIT_OK, "")
+            assert seen == [want[0]]
+        else:
+            assert got == want
+            assert seen == []
+        seen.clear()
+
+    def test_acceptance_invocations(self, capsys, seen):
+        for argv in cli_digest.invocations():
+            self.check(capsys, seen, argv, lambda: main(argv))
+
+    @pytest.mark.parametrize("argv", UNUSUAL, ids=" ".join)
+    def test_unusual_argv(self, capsys, seen, argv):
+        self.check(capsys, seen, argv, lambda: main(argv))
+
+    @pytest.mark.parametrize(
+        "argv", [["signature", str(FIXTURES / "twelfths.mat")], *UNUSUAL], ids=" ".join
+    )
+    def test_argv_from_sys_argv(self, capsys, seen, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["gleason", *argv])
+        self.check(capsys, seen, argv, main)
+
+    def test_top_level_parser_runs_only_for_the_rest(self, capsys, seen, monkeypatch):
+        parser, passes = cli.build_parser(), []
+        full = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: passes.append(argv) or full(argv))
+        for argv in cli_digest.invocations():
+            main(argv)
+        assert passes == []
+        for argv in (["-h"], ["signature", "x", "y"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert len(passes) == 2
+
+
 class TestDemo:
     def test_all_cases_pass(self, capsys):
         code, out, err = run(capsys, "demo-paper")

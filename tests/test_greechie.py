@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gleason import greechie
 from gleason.cli import _default_fixtures
 from gleason.greechie import (
     Decomposition,
@@ -413,6 +414,17 @@ class TestTwoValuedEnumeration:
         assert states == sorted(states)
         assert all(type(bit) is int for row in states for bit in row)
 
+    def test_empty_diagram_has_the_empty_state(self):
+        assert enumerate_two_valued_states(GreechieDiagram((), ())) == [()]
+
+    def test_rows_wider_than_a_machine_word(self):
+        # A chain of 69 two-atom blocks over 70 atoms: the 1s alternate, so two rows.
+        atoms = tuple(f"x{i:02d}" for i in range(70))
+        chain = GreechieDiagram(atoms, tuple(zip(atoms, atoms[1:])))
+        states = enumerate_two_valued_states(chain)
+        assert states == [(0, 1) * 35, (1, 0) * 35]
+        assert all(type(bit) is int for row in states for bit in row)
+
     def test_leaves_no_garbage_cycle(self):
         # The backtracker's recursive closure must not keep its rows alive until a full collection.
         diagram, _ = builtin_spin_half_family(3, [0.0, 0.5, 1.0])
@@ -505,8 +517,15 @@ class TestConvexDecomposition:
         diagram, _, measure = builtin_wright_pentagon()
         assert convex_decomposition(diagram, measure) is None
 
-    def test_no_two_valued_states_means_no_decomposition(self):
+    def test_no_two_valued_states_means_no_decomposition(self, monkeypatch):
+        # Decided without an LP: no state, no column to weigh.
+        calls = []
+        monkeypatch.setattr(greechie, "lp_feasible", lambda *args: calls.append(args))
         assert convex_decomposition(TRIANGLE, uniform_measure(TRIANGLE)) is None
+        assert calls == []
+        diagram, _ = builtin_spin_half_family(1, [0.0])  # two states: the spy is reached
+        convex_decomposition(diagram, uniform_measure(diagram))
+        assert len(calls) == 1
 
     def test_requires_valid_state(self):
         diagram, _, _ = builtin_wright_pentagon()

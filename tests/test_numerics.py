@@ -31,6 +31,7 @@ from support import (
     random_symmetric,
     random_unit,
     reference_least_squares,
+    reference_lp_feasible,
     reference_unit_row,
 )
 
@@ -571,6 +572,31 @@ class TestLpFeasible:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lp_feasible([[1.0, 2.0]], [1.0, 2.0])
+
+    def test_matches_the_reference_bit_for_bit(self):
+        # 0/1 rows and a sum row, as convex_decomposition builds them, with repeated
+        # columns; b is a convex combination, moved by +-1 on one row in every other system.
+        def outcome(solve, a, b):
+            try:
+                x = solve(a, b)
+            except RuntimeError as exc:
+                return "RuntimeError", str(exc)
+            return None if x is None else x.tobytes()
+
+        rng = np.random.default_rng(26)
+        verdicts = []
+        for trial in range(600):
+            m, n = int(rng.integers(2, 10)), int(rng.integers(2, 40))
+            a = np.vstack([(rng.random((m, n)) < 0.4).astype(float), np.ones(n)])
+            x0 = rng.random(n) * (rng.random(n) < 0.3)
+            b = a @ (x0 / max(x0.sum(), 1e-9))
+            b[-1] = 1.0
+            if trial % 2:
+                b[int(rng.integers(m))] += rng.choice([-1.0, 1.0])
+            want = outcome(reference_lp_feasible, a, b)
+            assert outcome(lp_feasible, a, b) == want, f"trial {trial}"
+            verdicts.append(want is None)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are exercised
 
     @pytest.mark.parametrize(
         "a, b",
