@@ -15,7 +15,9 @@ Exit codes are a stable contract:
   2  parse failure (bad file format, unreadable or non-UTF-8 file, bad option value)
   3  validation failure (violated invariant)
   4  probe table inconsistent with any quadratic form
-  5  infeasible as requested (NotRealizable / NotDecomposable verdicts)
+  5  infeasible as requested: "not decomposable", or "not realizable" with a certificate
+  6  undecided: the measure does not determine rho, and the minimum-norm candidate
+     fails a check that another density operator may pass
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .numerics import (
     finite_float,
     packed_index,
     parse_matrix_text,
+    quadratic_values,
     unit_rows,
 )
 
@@ -48,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BAD_PROBES = 4
 EXIT_INFEASIBLE = 5
+EXIT_UNDECIDED = 6
 
 _PLAIN = (float, int, str, bool, type(None))
 _ENCODER = json.JSONEncoder(indent=2, check_circular=False)  # payloads are fresh trees
@@ -299,12 +303,14 @@ def _cmd_greechie(args) -> tuple[Report, int]:
     if parsed.assignment is None or parsed.realization is None:
         raise greechie.GreechieFormatError("feasibility needs both prob and vec lines")
     verdict = greechie.quantum_feasibility(diagram, parsed.realization, parsed.assignment)
-    report.add("realizable", verdict.realizable)
+    undecided = verdict.status == "undecided"
+    report.add("realizable", "undecided" if undecided else verdict.realizable)
     if verdict.realizable:
         report.add("density", verdict.density.matrix.entries)
         return report, EXIT_OK
     cert = verdict.certificate
-    report.add("certificate_kind", cert.kind)
+    if not undecided:  # an undecided candidate's failed check proves nothing
+        report.add("certificate_kind", cert.kind)
     if cert.kernel_rank is not None:
         report.add("kernel_rank", cert.kernel_rank)
     if cert.min_eigenvalue is not None:
@@ -317,6 +323,15 @@ def _cmd_greechie(args) -> tuple[Report, int]:
                 for s, t, a in cert.violations
             ],
         )
+    if undecided:
+        psd = cert.kind == "psd"
+        failed = "is not positive semidefinite" if psd else "misses a constraint once clamped"
+        report.add(
+            "explanation",
+            f"the measure does not determine rho, and the minimum-norm candidate {failed}; "
+            "another density operator may still give the measure",
+        )
+        return report, EXIT_UNDECIDED
     report.add("explanation", cert.describe())
     return report, EXIT_INFEASIBLE
 
@@ -325,10 +340,6 @@ def _cmd_greechie(args) -> tuple[Report, int]:
 # demo-paper: run every bundled golden case end to end. A case gets a loader
 # of parsed fixtures by file name and yields (what, got, expected, tol)
 # checks; _first_failure compares them in order.
-
-
-def _default_fixtures() -> Path:
-    return greechie.FIXTURES
 
 
 def _show(value) -> str:
@@ -353,11 +364,6 @@ def _first_failure(checks) -> str | None:
     return None
 
 
-def _frame_values(f: frame.FrameFunction, x: np.ndarray) -> np.ndarray:
-    """x -> x^T A x on each row of ``x``."""
-    return np.einsum("ki,ij,kj->k", x, f.form.entries, x)
-
-
 def _case_pure_state(load):
     f = frame.from_density(density.DensityOperator(load("pure_state.mat")))
     yield "coefficient matrix", f.form.entries, np.diag([1.0, 0.0, 0.0]), 1e-12
@@ -377,7 +383,7 @@ def _case_bell_frames(load):
         f = frame.from_density(rho)
         x = unit_rows(rng.standard_normal((200, 4)))
         closed_form = 0.5 * (x[:, i] + sign * x[:, j]) ** 2
-        yield f"{name} frame function", _frame_values(f, x), closed_form, 1e-12
+        yield f"{name} frame function", quadratic_values(x, f.form.entries), closed_form, 1e-12
 
 
 def _case_bell_mixture(load):
@@ -394,7 +400,7 @@ def _case_nonorthogonal_mixture(load):
     f = frame.from_density(rho)
     x = unit_rows(np.random.default_rng(11).standard_normal((200, 3)))
     closed_form = a * x[:, 0] ** 2 + (b / 2.0) * (x[:, 0] + x[:, 1]) ** 2
-    yield "frame function", _frame_values(f, x), closed_form, 1e-12
+    yield "frame function", quadratic_values(x, f.form.entries), closed_form, 1e-12
     root = math.sqrt(0.25 - a * b / 2.0)
     weights = [w for w, _ in density.spectral_mixture(rho)]
     yield "spectral weights", weights, [0.5 + root, 0.5 - root], 1e-10
@@ -503,7 +509,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
     if args.list_cases:
         report.add("cases", [name for name, _ in DEMO_CASES])
         return report, EXIT_OK
-    fixtures = args.fixtures if args.fixtures is not None else _default_fixtures()
+    fixtures = args.fixtures if args.fixtures is not None else greechie.FIXTURES
     report.inputs["fixtures"] = str(fixtures)
 
     @functools.cache  # for this run only; a failed load is retried by the next case

@@ -31,11 +31,11 @@ from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
     SymMatrix,
+    fit_form,
     packed_index,
     pow2_rescale,
-    quad_coeff_row,
+    quadratic_values,
     scaled_tol,
-    solve_least_squares,
     sym_from_packed,
     unit_rows,
 )
@@ -182,7 +182,7 @@ def reconstruct_form(oracle: FrameOracle) -> SymMatrix:
         mixed = values[n:first_check] - (values[i[n:]] / 2.0 + values[j[n:]] / 2.0)
         form = SymMatrix(sym_from_packed(np.concatenate([values[:n], mixed]), n))
         checks = plan[first_check:]
-        predicted = np.einsum("ki,ij,kj->k", checks, form.entries, checks)
+        predicted = quadratic_values(checks, form.entries)
         deviations = np.abs(values[first_check:] - predicted)
     past = np.flatnonzero(deviations > consistency_limit(values))
     if past.size:
@@ -233,15 +233,9 @@ def reconstruct_from_samples(probes, values) -> SampledReconstruction:
     values = np.asarray(values, dtype=float).reshape(-1)
     if probes.shape[0] != values.shape[0]:
         raise DimensionMismatch(f"{probes.shape[0]} probes but {values.shape[0]} values")
-    with np.errstate(over="ignore"):  # an overflowed row is inf, which least squares refuses
-        rows = quad_coeff_row(probes)
-    fit = solve_least_squares(rows, values)
-    form = SymMatrix(sym_from_packed(fit.solution, probes.shape[1]))
-    return SampledReconstruction(
-        frame_function=FrameFunction(form),
-        residual=fit.residual,
-        rank_deficient=fit.rank_deficient,
-    )
+    fit = fit_form(probes, values)
+    f = FrameFunction(SymMatrix(fit.solution))
+    return SampledReconstruction(f, fit.residual, fit.rank_deficient)
 
 
 def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:

@@ -31,14 +31,12 @@ from .numerics import (
     SymMatrix,
     content_lines,
     finite_float,
+    fit_form,
     lp_feasible,
-    packed_index,
-    quad_coeff_row,
+    quadratic_values,
     rank,
     real_array,
     scaled_tol,
-    solve_least_squares,
-    sym_from_packed,
     unit_rows,
 )
 
@@ -437,7 +435,9 @@ class InfeasibilityCertificate:
         forcing rho = 0 against tr(rho) = 1; ``kernel_rank`` is that span's
         rank.
       * ``residual`` — the least-squares state cannot meet every
-        constraint; ``violations`` lists (subject, target, achieved).
+        constraint; ``violations`` lists (subject, target, achieved). When
+        it is the clamped candidate that misses, ``min_eigenvalue`` is the
+        unclamped one's.
       * ``psd`` — the unique/least-norm solution has ``min_eigenvalue``
         below the -1e-8 allowance.
     """
@@ -459,16 +459,32 @@ class InfeasibilityCertificate:
             f"{subject}: needs {target:.6g}, best {achieved:.6g}"
             for subject, target, achieved in self.violations
         )
+        if self.min_eigenvalue is not None:  # the unclamped solution met every constraint
+            return f"the solution clamped to positive semidefinite misses a constraint ({parts})"
         return f"no symmetric solution meets every constraint ({parts})"
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumFeasibility:
-    """Outcome of the density-operator feasibility decision."""
+    """Outcome of the density-operator feasibility decision.
+
+    ``status`` is "yes" when ``density`` gives the measure, "no" when
+    ``certificate`` proves that no density operator does, and "undecided" when
+    the constraints leave rho underdetermined and the minimum-norm candidate
+    failed the check ``certificate`` records: another solution may pass it.
+    Left out, ``status`` follows ``realizable``, which is True only for "yes".
+    """
 
     realizable: bool
     density: DensityOperator | None = None
     certificate: InfeasibilityCertificate | None = None
+    status: str | None = None
+
+    def __post_init__(self) -> None:
+        status = self.status or ("yes" if self.realizable else "no")
+        if status not in ("yes", "no", "undecided") or (status == "yes") != self.realizable:
+            raise ValueError(f"status {status!r} contradicts realizable={self.realizable!r}")
+        object.__setattr__(self, "status", status)
 
 
 def quantum_feasibility(
@@ -480,11 +496,16 @@ def quantum_feasibility(
 
     Zero-probability atoms force rho v = 0 (positive semidefiniteness), so
     rho is restricted to the orthogonal complement of their span; when that
-    span already fills the space the state is unrealizable outright, with
-    the span rank as certificate. Otherwise the remaining constraints plus
-    unit trace are solved by least squares over symmetric matrices and the
-    candidate is verified against every constraint (tolerance 1e-8) and
-    against positive semidefiniteness (eigenvalue floor -1e-8).
+    span already fills the space the answer is "no", with the span rank as
+    certificate. Otherwise :func:`~gleason.numerics.fit_form` fits the other
+    constraints plus unit trace, and the candidate is checked against every
+    constraint (tolerance 1e-8), then for positive semidefiniteness
+    (eigenvalue floor -1e-8), then against every constraint again once its
+    negative eigenvalues are clamped to 0 and its trace is renormalized.
+    Passing all three gives "yes" with the clamped density. A first-check
+    miss is "no" at any rank: no symmetric matrix meets the constraints. A
+    later miss is "no" when the fit is unique and "undecided" when it is
+    rank deficient.
     """
     n = realization.dim
     vectors = diagram._aligned(realization, "realization")
@@ -506,50 +527,52 @@ def quantum_feasibility(
         points, targets = vectors[~zero] @ basis, probs[~zero]
     else:
         basis, points, targets = None, vectors, probs
-    m = points.shape[1]
 
-    trace_row = np.equal(*packed_index(m))  # 1 on the packed diagonal
-    rows = np.concatenate((quad_coeff_row(points), trace_row[None]))
-    fit = solve_least_squares(rows, np.concatenate((targets, (1.0,))))
-    rho = sym_from_packed(fit.solution, m)
+    fit = fit_form(points, targets, trace=1.0)
+    rho = fit.solution
     if basis is not None:
         rho = basis @ rho @ basis.T
         rho = (rho + rho.T) / 2.0
+    density = None
+    certificate = _residual_certificate(diagram, vectors, probs, rho)
+    # Missed constraints refute every solution; a failed candidate refutes only a unique one.
+    decided = certificate is not None or not fit.rank_deficient
+    if certificate is None:
+        spectrum = SymMatrix(rho).spectrum
+        min_eigenvalue = float(spectrum.eigenvalues[-1])
+        if min_eigenvalue < -FEASIBILITY_TOL:
+            certificate = InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue)
+        else:
+            # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
+            clamped = np.maximum(spectrum.eigenvalues, 0.0)
+            cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
+            cleaned = (cleaned + cleaned.T) / 2.0
+            cleaned /= cleaned.trace()
+            certificate = _residual_certificate(diagram, vectors, probs, cleaned, min_eigenvalue)
+            if certificate is None:
+                density = DensityOperator(SymMatrix(cleaned))
+    status = "yes" if density is not None else "no" if decided else "undecided"
+    return QuantumFeasibility(status == "yes", density, certificate, status)
 
-    def constraint_violations(candidate: np.ndarray) -> tuple[tuple[str, float, float], ...]:
-        achieved = np.einsum("ki,ij,kj->k", vectors, candidate, vectors)
-        failing = (np.abs(achieved - probs) > FEASIBILITY_TOL).nonzero()[0]
-        found = [(diagram.atoms[k], float(probs[k]), float(achieved[k])) for k in failing]
-        trace = candidate.trace()
-        if abs(trace - 1.0) > FEASIBILITY_TOL:
-            found.append(("trace", 1.0, float(trace)))
-        return tuple(found)
 
-    violations = constraint_violations(rho)
-    if violations:
-        return QuantumFeasibility(
-            realizable=False,
-            certificate=InfeasibilityCertificate("residual", violations=violations),
-        )
-    spectrum = SymMatrix(rho).spectrum
-    min_eigenvalue = float(spectrum.eigenvalues[-1])
-    if min_eigenvalue < -FEASIBILITY_TOL:
-        return QuantumFeasibility(
-            realizable=False,
-            certificate=InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue),
-        )
-    # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
-    clamped = np.maximum(spectrum.eigenvalues, 0.0)
-    cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
-    cleaned = (cleaned + cleaned.T) / 2.0
-    cleaned /= cleaned.trace()
-    violations = constraint_violations(cleaned)
-    if violations:
-        return QuantumFeasibility(
-            realizable=False,
-            certificate=InfeasibilityCertificate("residual", violations=violations),
-        )
-    return QuantumFeasibility(realizable=True, density=DensityOperator(SymMatrix(cleaned)))
+def _residual_certificate(
+    diagram, vectors, probs, candidate, min_eigenvalue=None
+) -> InfeasibilityCertificate | None:
+    """A ``residual`` certificate, with ``min_eigenvalue``, of the constraints ``candidate`` misses.
+
+    None when it misses none. ``vectors`` and ``probs`` are in the diagram's atom order.
+    """
+    achieved = quadratic_values(vectors, candidate)
+    failing = (np.abs(achieved - probs) > FEASIBILITY_TOL).nonzero()[0]
+    found = [(diagram.atoms[k], float(probs[k]), float(achieved[k])) for k in failing]
+    trace = candidate.trace()
+    if abs(trace - 1.0) > FEASIBILITY_TOL:
+        found.append(("trace", 1.0, float(trace)))
+    if not found:
+        return None
+    return InfeasibilityCertificate(
+        "residual", violations=tuple(found), min_eigenvalue=min_eigenvalue
+    )
 
 
 def builtin_wright_pentagon() -> tuple[GreechieDiagram, VectorRealization, ProbabilityAssignment]:

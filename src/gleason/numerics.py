@@ -9,8 +9,9 @@ Householder QR when its R factor is certified to have full column rank
 falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
 for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling,
-:func:`unit_rows` the one way rows are normalised and :func:`real_array` the one gate
-that refuses complex input; the ``dim n`` text format is here too.
+:func:`unit_rows` the one way rows are normalised, :func:`real_array` the one gate
+that refuses complex input, and :func:`fit_form` and :func:`quadratic_values` the one
+fit and the one evaluation of a symmetric form; the ``dim n`` text format is here too.
 """
 
 from __future__ import annotations
@@ -366,6 +367,27 @@ def quad_coeff_row(x) -> np.ndarray:
     row *= x.take(j, axis=-1)
     row[..., x.shape[-1] :] *= 2.0
     return row
+
+
+def fit_form(points, values, trace: float | None = None) -> LeastSquaresSolution:
+    """Least-squares symmetric A with x^T A x = value on each row of the k x n ``points``.
+
+    With ``trace``, tr A = trace is one more row. ``solution`` is A itself, n x n. A row
+    that overflows is inf, which :func:`solve_least_squares` refuses with ValueError.
+    """
+    n = np.shape(points)[1]
+    with np.errstate(over="ignore"):  # the solve stays outside, so its overflows still warn
+        rows = quad_coeff_row(points)
+    if trace is not None:
+        rows = np.concatenate((rows, np.equal(*packed_index(n))[None]))  # 1 on the diagonal
+        values = np.concatenate((values, (trace,)))
+    fit = solve_least_squares(rows, values)
+    return LeastSquaresSolution(sym_from_packed(fit.solution, n), fit.residual, fit.rank_deficient)
+
+
+def quadratic_values(points, a) -> np.ndarray:
+    """x^T A x on each row x of the k x n ``points``."""
+    return np.einsum("ki,ij,kj->k", points, a, points)
 
 
 def sym_from_packed(values, n: int) -> np.ndarray:

@@ -20,7 +20,8 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep.
+library's method calls must keep. ``clamp_miss`` and ``trace_miss`` build the
+seeded inputs that reach ``quantum_feasibility``'s two rarest refusals.
 """
 
 from __future__ import annotations
@@ -420,3 +421,60 @@ def reference_spectral_mixture(rho: DensityOperator) -> list[tuple[float, np.nda
             pairs.append((float(lam), vec.copy() if lead > 0 else -vec))
     pairs.sort(key=lambda p: (-p[0], tuple(p[1])))
     return [(w, v / float(np.linalg.norm(v))) for w, v in pairs]
+
+
+def measured(vectors, probs, blocks):
+    """Diagram, realization and measure with atoms a0, a1, ... in the order given."""
+    atoms = tuple(f"a{k}" for k in range(len(vectors)))
+    diagram = GreechieDiagram(atoms, tuple(tuple(atoms[k] for k in b) for b in blocks))
+    return (
+        diagram,
+        VectorRealization(dict(zip(atoms, np.asarray(vectors, dtype=float)))),
+        ProbabilityAssignment(dict(zip(atoms, map(float, probs)))),
+    )
+
+
+def plane_pairs(angles, dim):
+    """Two-atom blocks (cos t, sin t, 0, ...), (-sin t, cos t, 0, ...) per angle t."""
+    vectors = np.zeros((2 * len(angles), dim))
+    for k, t in enumerate(angles):
+        vectors[2 * k, :2] = math.cos(t), math.sin(t)
+        vectors[2 * k + 1, :2] = -math.sin(t), math.cos(t)
+    return vectors, [(2 * k, 2 * k + 1) for k in range(len(angles))]
+
+
+def clamp_miss(dim):
+    """Inputs whose candidate passes the first two checks and fails the clamped recheck.
+
+    The measure of diag(1 + 7e-9, -7e-9) on seven two-atom blocks in the x-y plane, moved
+    by 4e-9 within the first block: the fit stays within 1e-8 of every value, and its
+    smallest eigenvalue is above -1e-8, but clamping it moves the first block past 1e-8.
+    In R^2 the fit is unique; in R^3 nothing constrains the x-z and y-z entries.
+    """
+    angles = [1e-3, *np.random.default_rng(0).uniform(0.0, math.pi, 6)]
+    vectors, blocks = plane_pairs(angles, dim)
+    rho = np.zeros((dim, dim))
+    rho[0, 0], rho[1, 1] = 1.0 + 7e-9, -7e-9
+    probs = np.einsum("ki,ij,kj->k", vectors, rho, vectors)
+    probs[:2] += 4e-9, -4e-9
+    return vectors, probs, blocks
+
+
+def trace_miss(rank_deficient):
+    """Inconsistent measures whose least-squares fit misses the unit trace (seed 0).
+
+    Four random two-atom blocks in R^3 pin the form down. Three two-atom blocks in the
+    x-y plane plus the standard basis leave the x-z and y-z entries free. Each block
+    puts a random p on its first atom and shares 1 - p among the others.
+    """
+    rng = np.random.default_rng(0)
+    if rank_deficient:
+        vectors, blocks = plane_pairs(rng.uniform(0.0, math.pi, 3), 3)
+        vectors, blocks = np.vstack([vectors, np.eye(3)]), blocks + [(6, 7, 8)]
+    else:
+        vectors = np.vstack([random_orthonormal(rng, 3)[:2] for _ in range(4)])
+        blocks = [(2 * k, 2 * k + 1) for k in range(4)]
+    probs = []
+    for block, p in zip(blocks, rng.uniform(0.05, 0.95, len(blocks))):
+        probs += [p] + [(1.0 - p) / (len(block) - 1)] * (len(block) - 1)
+    return vectors, probs, blocks

@@ -32,7 +32,7 @@ from gleason import (
     spectral_mixture,
     validate_state,
 )
-from gleason.cli import _default_fixtures
+from gleason.greechie import FIXTURES
 from support import (
     brute_force_two_valued,
     random_density,
@@ -41,7 +41,6 @@ from support import (
     well_conditioned_transform,
 )
 
-FIXTURES = _default_fixtures()
 SQ2 = math.sqrt(2.0)
 
 

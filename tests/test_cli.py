@@ -20,19 +20,19 @@ from gleason.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNDECIDED,
     EXIT_VALIDATION,
     DEMO_CASES,
     Report,
-    _default_fixtures,
     _polynomial,
     main,
     render_structured,
     render_text,
 )
 import cli_digest
-from support import reference_render_structured, reference_render_text
+from support import clamp_miss, reference_render_structured, reference_render_text
 
-FIXTURES = _default_fixtures()
+FIXTURES = greechie.FIXTURES
 BOM = b"\xef\xbb\xbf"
 
 
@@ -690,6 +690,56 @@ class TestGreechieCommands:
         assert out == (
             f"# greechie feasibility\ninput path: {f}\ninput atoms: 4\ninput blocks: 2\n"
             "realizable: false\n" + certificate
+        )
+
+    def test_feasibility_undecided(self, capsys, tmp_path):
+        # rho = psi psi^T, psi = (1, 4, 8) / 9, on two contexts of R^3: realizable, but the
+        # minimum-norm fit of the underdetermined system is not positive semidefinite.
+        f = tmp_path / "psi.greechie"
+        f.write_text(
+            "".join(f"atom {a}\n" for a in ("a1", "a2", "a3", "b1", "b2", "b3"))
+            + "block a1 a2 a3\nblock b1 b2 b3\n"
+            + "vec a1 1 0 0\nvec a2 0 1 0\nvec a3 0 0 1\n"
+            + "vec b1 1 2 2\nvec b2 2 1 -2\nvec b3 2 -2 1\n"
+            + "".join(f"prob {a} {p!r}\n" for a, p in zip(
+                ("a1", "a2", "a3", "b1", "b2", "b3"),
+                (1 / 81, 16 / 81, 64 / 81, 625 / 729, 100 / 729, 4 / 729),
+            ))
+        )
+        code, out, err = run(capsys, "greechie", "feasibility", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "") and EXIT_UNDECIDED == 6
+        assert out == (
+            f"# greechie feasibility\ninput path: {f}\ninput atoms: 6\ninput blocks: 2\n"
+            "realizable: undecided\n"
+            "min_eigenvalue: -0.0566614\n"
+            "explanation: the measure does not determine rho, and the minimum-norm candidate "
+            "is not positive semidefinite; another density operator may still give the measure\n"
+        )
+        code, payload, err = structured(capsys, "greechie", "feasibility", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        values = verdicts(payload)
+        assert list(values) == ["realizable", "min_eigenvalue", "explanation"]
+        assert values["realizable"] == "undecided"
+        assert abs(values["min_eigenvalue"] + 0.0566614) <= 1e-7
+
+    def test_feasibility_undecided_after_the_clamp(self, capsys, tmp_path):
+        vectors, probs, blocks = clamp_miss(3)
+        atoms = [f"a{k}" for k in range(len(vectors))]
+        lines = [f"atom {a}" for a in atoms]
+        lines += ["block " + " ".join(atoms[k] for k in block) for block in blocks]
+        lines += [f"vec {a} " + " ".join(map(repr, v)) for a, v in zip(atoms, vectors.tolist())]
+        lines += [f"prob {a} {p!r}" for a, p in zip(atoms, probs.tolist())]
+        f = tmp_path / "clamped.greechie"
+        f.write_text("\n".join(lines) + "\n")
+        code, payload, err = structured(capsys, "greechie", "feasibility", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        values = verdicts(payload)
+        assert list(values) == ["realizable", "min_eigenvalue", "constraint_violations",
+                                "explanation"]
+        assert [v["subject"] for v in values["constraint_violations"]] == ["a0", "a1"]
+        assert values["explanation"].startswith(
+            "the measure does not determine rho, and the minimum-norm candidate misses a "
+            "constraint once clamped; "
         )
 
     def test_feasibility_requires_vectors(self, capsys, tmp_path):

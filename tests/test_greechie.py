@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gleason import greechie
-from gleason.cli import _default_fixtures
 from gleason.greechie import (
     Decomposition,
     DuplicateDirection,
@@ -18,6 +17,7 @@ from gleason.greechie import (
     InvalidRealization,
     InvalidState,
     ProbabilityAssignment,
+    QuantumFeasibility,
     UnknownAtom,
     VectorRealization,
     builtin_spin_half_family,
@@ -30,10 +30,12 @@ from gleason.greechie import (
     quantum_feasibility,
     validate_state,
 )
-from gleason.numerics import DEFAULT_TOL, DimensionMismatch
+from gleason.numerics import DEFAULT_TOL, DimensionMismatch, fit_form, quadratic_values
 from support import (
     brute_force_two_valued,
+    clamp_miss,
     highs_lp_feasible,
+    measured,
     pentagon_b_vectors,
     random_density,
     random_diagram,
@@ -47,6 +49,7 @@ from support import (
     reference_unit_row,
     reference_validate_state,
     reference_vector_failure,
+    trace_miss,
 )
 
 TRIANGLE = GreechieDiagram(
@@ -656,7 +659,7 @@ class TestIndexArrays:
 
 class TestBuiltinPentagon:
     def test_is_the_parse_of_the_bundled_file(self):
-        parsed = parse_greechie_text((_default_fixtures() / "pentagon.greechie").read_text())
+        parsed = parse_greechie_text((greechie.FIXTURES / "pentagon.greechie").read_text())
         diagram, realization, measure = builtin_wright_pentagon()
         assert (diagram.atoms, diagram.blocks) == (parsed.diagram.atoms, parsed.diagram.blocks)
         for got, want in ((realization, parsed.realization), (measure, parsed.assignment)):
@@ -941,10 +944,10 @@ class TestQuantumFeasibility:
                         assert (keyed._atoms == diagram.atoms) == in_order
                     verdict = quantum_feasibility(diagram, realization, state)
                     density = verdict.density and verdict.density.matrix.entries.tobytes()
-                    verdicts.append((verdict.realizable, density, repr(verdict.certificate)))
+                    verdicts.append((verdict.status, density, repr(verdict.certificate)))
                 assert verdicts == verdicts[:1] * 4
-                kinds.add(verdict.certificate.kind if verdict.certificate else "realizable")
-        assert {"realizable", "kernel-rank", "psd"} <= kinds
+                kinds.add((verdict.status, verdict.certificate and verdict.certificate.kind))
+        assert {("yes", None), ("no", "kernel-rank"), ("no", "psd")} <= kinds
 
     def test_precondition_failures_raise(self):
         # The realization is checked first: its coverage, its orthogonality,
@@ -965,6 +968,86 @@ class TestQuantumFeasibility:
         for realization_in, assignment_in, error, message in cases:
             with pytest.raises(error, match=message):
                 quantum_feasibility(diagram, realization_in, assignment_in)
+
+
+# rho = psi psi^T for psi = (1, 4, 8) / 9 on the standard basis and on (1, 2, 2) / 3,
+# (2, 1, -2) / 3, (2, -2, 1) / 3: realizable, but two contexts leave rho underdetermined,
+# and the minimum-norm candidate has a negative eigenvalue.
+PSI_VECTORS = np.vstack([np.eye(3), np.array([[1, 2, 2], [2, 1, -2], [2, -2, 1]]) / 3.0])
+PSI_PROBS = (1 / 81, 16 / 81, 64 / 81, 625 / 729, 100 / 729, 4 / 729)
+
+
+class TestFeasibilityStatus:
+    def test_status_follows_realizable_when_left_out(self):
+        assert QuantumFeasibility(realizable=False).status == "no"
+        assert QuantumFeasibility(realizable=True).status == "yes"
+        assert QuantumFeasibility(False, status="undecided").status == "undecided"
+        for realizable, status in ((True, "undecided"), (True, "no"), (False, "yes"),
+                                   (False, "maybe")):
+            with pytest.raises(ValueError, match="contradicts"):
+                QuantumFeasibility(realizable, status=status)
+
+    def test_underdetermined_realizable_measure_is_undecided(self):
+        diagram, realization, measure = measured(PSI_VECTORS, PSI_PROBS, [(0, 1, 2), (3, 4, 5)])
+        psi = np.array([1.0, 4.0, 8.0]) / 9.0
+        assert np.max(np.abs((PSI_VECTORS @ psi) ** 2 - PSI_PROBS)) <= 1e-15
+        assert fit_form(PSI_VECTORS, np.array(PSI_PROBS), trace=1.0).rank_deficient
+        verdict = quantum_feasibility(diagram, realization, measure)
+        assert (verdict.status, verdict.realizable, verdict.density) == ("undecided", False, None)
+        assert verdict.certificate.kind == "psd"
+        assert abs(verdict.certificate.min_eigenvalue + 0.0566614) <= 1e-7
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_trace_miss_is_no_at_any_rank(self, rank_deficient):
+        vectors, probs, blocks = trace_miss(rank_deficient)
+        assert fit_form(vectors, np.array(probs), trace=1.0).rank_deficient == rank_deficient
+        verdict = quantum_feasibility(*measured(vectors, probs, blocks))
+        assert (verdict.status, verdict.certificate.kind) == ("no", "residual")
+        assert verdict.certificate.min_eigenvalue is None
+        subject, target, achieved = verdict.certificate.violations[-1]
+        assert (subject, target) == ("trace", 1.0) and abs(achieved - 1.0) > 1e-8
+
+    @pytest.mark.parametrize("dim, status", [(2, "no"), (3, "undecided")])
+    def test_clamped_candidate_missing_a_constraint(self, dim, status):
+        vectors, probs, blocks = clamp_miss(dim)
+        fit = fit_form(vectors, probs, trace=1.0)
+        assert fit.rank_deficient == (dim == 3)
+        assert np.max(np.abs(quadratic_values(vectors, fit.solution) - probs)) <= 1e-8
+        verdict = quantum_feasibility(*measured(vectors, probs, blocks))
+        assert (verdict.status, verdict.certificate.kind) == (status, "residual")
+        assert -1e-8 <= verdict.certificate.min_eigenvalue < 0.0
+        assert [s for s, _, _ in verdict.certificate.violations] == ["a0", "a1"]
+        assert verdict.certificate.describe().startswith(
+            "the solution clamped to positive semidefinite misses a constraint (a0: needs "
+        )
+
+    def test_seeded_underdetermined_draw_gets_no_wrong_no(self):
+        # Rank-1 and rank-2 states in R^3, each on two random contexts: every measure is
+        # realizable, and two contexts never determine rho.
+        rng = np.random.default_rng(5)
+        diagram = GreechieDiagram(tuple(f"a{k}" for k in range(6)),
+                                  (("a0", "a1", "a2"), ("a3", "a4", "a5")))
+        statuses = []
+        for _ in range(1000):
+            r = int(rng.integers(1, 3))
+            basis = random_orthonormal(rng, 3)[:r]
+            weights = rng.random(r) + 0.01
+            rho = basis.T @ np.diag(weights / weights.sum()) @ basis
+            rows = np.vstack([random_orthonormal(rng, 3), random_orthonormal(rng, 3)])
+            probs = np.einsum("ki,ij,kj->k", rows, rho, rows)
+            verdict = quantum_feasibility(
+                diagram,
+                VectorRealization(dict(zip(diagram.atoms, rows))),
+                ProbabilityAssignment(dict(zip(diagram.atoms, probs.tolist()))),
+            )
+            statuses.append(verdict.status)
+            if verdict.status == "yes":
+                got = verdict.density.matrix.entries
+                assert abs(np.trace(got) - 1.0) <= 1e-12
+                assert np.linalg.eigvalsh(got)[0] >= -1e-12
+                assert np.max(np.abs(np.einsum("ki,ij,kj->k", rows, got, rows) - probs)) <= 1e-8
+        assert "no" not in statuses
+        assert {"yes", "undecided"} == set(statuses)
 
 
 class TestBuiltins:

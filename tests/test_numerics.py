@@ -10,6 +10,7 @@ from gleason.numerics import (
     MatrixFormatError,
     SymMatrix,
     eigh,
+    fit_form,
     format_matrix_text,
     lp_feasible,
     orthonormalize,
@@ -17,6 +18,7 @@ from gleason.numerics import (
     parse_matrix_text,
     pow2_rescale,
     quad_coeff_row,
+    quadratic_values,
     rank,
     scaled_tol,
     solve_least_squares,
@@ -728,6 +730,46 @@ class TestPackedQuadratic:
     def test_unpack_length_check(self):
         with pytest.raises(DimensionMismatch):
             sym_from_packed([1.0, 2.0], 3)
+
+    def test_quadratic_values_match_each_row(self):
+        rng = np.random.default_rng(12)
+        a = random_symmetric(rng, 4, scale=2.0).entries
+        x = rng.standard_normal((6, 4))
+        got = quadratic_values(x, a)
+        assert got.shape == (6,)
+        assert np.max(np.abs(got - [v @ a @ v for v in x])) <= 1e-12
+
+    @pytest.mark.parametrize("trace", [None, 1.0])
+    def test_fit_form_is_the_packed_least_squares_fit(self, trace):
+        # Bit for bit the rows, optional trace row and unpacking written out by hand.
+        rng = np.random.default_rng(13)
+        for n, k in ((2, 4), (3, 6), (3, 12), (4, 20)):
+            points = unit_rows(rng.standard_normal((k, n)))
+            values = rng.uniform(0.0, 1.0, k)
+            rows, rhs = quad_coeff_row(points), values
+            if trace is not None:
+                rows = np.vstack([rows, np.equal(*packed_index(n))])
+                rhs = np.append(values, trace)
+            want = solve_least_squares(rows, rhs)
+            got = fit_form(points, values, trace)
+            assert got.solution.tobytes() == sym_from_packed(want.solution, n).tobytes()
+            assert (got.residual, got.rank_deficient) == (want.residual, want.rank_deficient)
+
+    def test_fit_form_recovers_a_form_and_reports_rank(self):
+        rng = np.random.default_rng(14)
+        a = random_symmetric(rng, 3, scale=1.0).entries
+        points = unit_rows(rng.standard_normal((9, 3)))
+        fit = fit_form(points, quadratic_values(points, a))
+        assert np.max(np.abs(fit.solution - a)) <= 1e-12
+        assert fit.residual <= 1e-12 and not fit.rank_deficient
+        # Two orthonormal bases and the trace: 7 rows of rank 5 for 6 unknowns.
+        bases = np.vstack([random_orthonormal(rng, 3), random_orthonormal(rng, 3)])
+        assert fit_form(bases, np.full(6, 1.0 / 3.0), trace=1.0).rank_deficient
+
+    def test_fit_form_refuses_an_overflowing_row_without_a_warning(self):
+        # The rows are built under errstate(over="ignore"); the solve then refuses the inf.
+        with pytest.raises(ValueError, match="non-finite entries"):
+            fit_form(np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
 
     def test_shared_index_is_read_only(self):
         rows, cols = packed_index(3)
