@@ -303,13 +303,12 @@ def _cmd_greechie(args) -> tuple[Report, int]:
     if parsed.assignment is None or parsed.realization is None:
         raise greechie.GreechieFormatError("feasibility needs both prob and vec lines")
     verdict = greechie.quantum_feasibility(diagram, parsed.realization, parsed.assignment)
-    undecided = verdict.status == "undecided"
-    report.add("realizable", "undecided" if undecided else verdict.realizable)
+    report.add("realizable", "undecided" if verdict.status == "undecided" else verdict.realizable)
     if verdict.realizable:
         report.add("density", verdict.density.matrix.entries)
         return report, EXIT_OK
     cert = verdict.certificate
-    if not undecided:  # an undecided candidate's failed check proves nothing
+    if verdict.status == "no":  # an undecided candidate's failed check proves nothing
         report.add("certificate_kind", cert.kind)
     if cert.kernel_rank is not None:
         report.add("kernel_rank", cert.kernel_rank)
@@ -318,22 +317,10 @@ def _cmd_greechie(args) -> tuple[Report, int]:
     if cert.violations:
         report.add(
             "constraint_violations",
-            [
-                {"subject": s, "target": t, "achieved": a}
-                for s, t, a in cert.violations
-            ],
+            [{"subject": s, "target": t, "achieved": a} for s, t, a in cert.violations],
         )
-    if undecided:
-        psd = cert.kind == "psd"
-        failed = "is not positive semidefinite" if psd else "misses a constraint once clamped"
-        report.add(
-            "explanation",
-            f"the measure does not determine rho, and the minimum-norm candidate {failed}; "
-            "another density operator may still give the measure",
-        )
-        return report, EXIT_UNDECIDED
-    report.add("explanation", cert.describe())
-    return report, EXIT_INFEASIBLE
+    report.add("explanation", verdict.describe())
+    return report, EXIT_INFEASIBLE if verdict.status == "no" else EXIT_UNDECIDED
 
 
 # --------------------------------------------------------------------------

@@ -440,6 +440,7 @@ class InfeasibilityCertificate:
         unclamped one's.
       * ``psd`` — the unique/least-norm solution has ``min_eigenvalue``
         below the -1e-8 allowance.
+    Under an "undecided" verdict it records the candidate's failed check and proves nothing.
     """
 
     kind: str
@@ -486,6 +487,17 @@ class QuantumFeasibility:
             raise ValueError(f"status {status!r} contradicts realizable={self.realizable!r}")
         object.__setattr__(self, "status", status)
 
+    def describe(self) -> str | None:
+        """None for "yes", the certificate's text for "no", the failed check for "undecided"."""
+        if self.status != "undecided":
+            return None if self.realizable else self.certificate.describe()
+        psd = self.certificate.kind == "psd"
+        failed = "is not positive semidefinite" if psd else "misses a constraint once clamped"
+        return (
+            f"the measure does not determine rho, and the minimum-norm candidate {failed}; "
+            "another density operator may still give the measure"
+        )
+
 
 def quantum_feasibility(
     diagram: GreechieDiagram,
@@ -500,14 +512,13 @@ def quantum_feasibility(
     certificate. Otherwise :func:`~gleason.numerics.fit_form` fits the other
     constraints plus unit trace, and the candidate is checked against every
     constraint (tolerance 1e-8), then for positive semidefiniteness
-    (eigenvalue floor -1e-8), then against every constraint again once its
+    (eigenvalue floor -1e-8), then against every atom again once its
     negative eigenvalues are clamped to 0 and its trace is renormalized.
     Passing all three gives "yes" with the clamped density. A first-check
     miss is "no" at any rank: no symmetric matrix meets the constraints. A
     later miss is "no" when the fit is unique and "undecided" when it is
-    rank deficient.
+    rank deficient; an "undecided" certificate records the miss, proving nothing.
     """
-    n = realization.dim
     vectors = diagram._aligned(realization, "realization")
     _require(_realization_violations(diagram, vectors, DEFAULT_TOL), InvalidRealization)
     probs = diagram._aligned(assignment, "assignment")
@@ -518,11 +529,9 @@ def quantum_feasibility(
         z = vectors[zero]
         dec = SymMatrix(z.T @ z).spectrum
         kernel_rank = int(np.sum(dec.eigenvalues > scaled_tol(DEFAULT_TOL, dec.eigenvalues)))
-        if kernel_rank == n:
-            return QuantumFeasibility(
-                realizable=False,
-                certificate=InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank),
-            )
+        if kernel_rank == realization.dim:
+            certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
+            return QuantumFeasibility(False, certificate=certificate)
         basis = dec.eigenvectors[:, kernel_rank:]
         points, targets = vectors[~zero] @ basis, probs[~zero]
     else:
@@ -533,46 +542,38 @@ def quantum_feasibility(
     if basis is not None:
         rho = basis @ rho @ basis.T
         rho = (rho + rho.T) / 2.0
-    density = None
-    certificate = _residual_certificate(diagram, vectors, probs, rho)
-    # Missed constraints refute every solution; a failed candidate refutes only a unique one.
-    decided = certificate is not None or not fit.rank_deficient
-    if certificate is None:
-        spectrum = SymMatrix(rho).spectrum
-        min_eigenvalue = float(spectrum.eigenvalues[-1])
-        if min_eigenvalue < -FEASIBILITY_TOL:
-            certificate = InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue)
-        else:
-            # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
-            clamped = np.maximum(spectrum.eigenvalues, 0.0)
-            cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
-            cleaned = (cleaned + cleaned.T) / 2.0
-            cleaned /= cleaned.trace()
-            certificate = _residual_certificate(diagram, vectors, probs, cleaned, min_eigenvalue)
-            if certificate is None:
-                density = DensityOperator(SymMatrix(cleaned))
-    status = "yes" if density is not None else "no" if decided else "undecided"
-    return QuantumFeasibility(status == "yes", density, certificate, status)
+    missed = _missed_atoms(diagram, vectors, probs, rho)
+    if abs(rho.trace() - 1.0) > FEASIBILITY_TOL:
+        missed.append(("trace", 1.0, float(rho.trace())))
+    if missed:  # no symmetric matrix meets the constraints
+        certificate = InfeasibilityCertificate("residual", violations=tuple(missed))
+        return QuantumFeasibility(False, certificate=certificate)
+    # A failed candidate refutes every solution only when it is the unique one.
+    failed = "undecided" if fit.rank_deficient else "no"
+    spectrum = SymMatrix(rho).spectrum
+    min_eigenvalue = float(spectrum.eigenvalues[-1])
+    if min_eigenvalue < -FEASIBILITY_TOL:
+        certificate = InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue)
+        return QuantumFeasibility(False, certificate=certificate, status=failed)
+    # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
+    clamped = np.maximum(spectrum.eigenvalues, 0.0)
+    cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
+    cleaned = (cleaned + cleaned.T) / 2.0
+    cleaned /= cleaned.trace()  # tr is now 1 to a few ulps: only the atoms are rechecked
+    missed = _missed_atoms(diagram, vectors, probs, cleaned)
+    if missed:
+        certificate = InfeasibilityCertificate(
+            "residual", violations=tuple(missed), min_eigenvalue=min_eigenvalue
+        )
+        return QuantumFeasibility(False, certificate=certificate, status=failed)
+    return QuantumFeasibility(True, DensityOperator(SymMatrix(cleaned)))
 
 
-def _residual_certificate(
-    diagram, vectors, probs, candidate, min_eigenvalue=None
-) -> InfeasibilityCertificate | None:
-    """A ``residual`` certificate, with ``min_eigenvalue``, of the constraints ``candidate`` misses.
-
-    None when it misses none. ``vectors`` and ``probs`` are in the diagram's atom order.
-    """
+def _missed_atoms(diagram, vectors, probs, candidate) -> list[tuple[str, float, float]]:
+    """(atom, target, achieved), in atom order, for each value ``candidate`` misses by > 1e-8."""
     achieved = quadratic_values(vectors, candidate)
     failing = (np.abs(achieved - probs) > FEASIBILITY_TOL).nonzero()[0]
-    found = [(diagram.atoms[k], float(probs[k]), float(achieved[k])) for k in failing]
-    trace = candidate.trace()
-    if abs(trace - 1.0) > FEASIBILITY_TOL:
-        found.append(("trace", 1.0, float(trace)))
-    if not found:
-        return None
-    return InfeasibilityCertificate(
-        "residual", violations=tuple(found), min_eigenvalue=min_eigenvalue
-    )
+    return [(diagram.atoms[k], float(probs[k]), float(achieved[k])) for k in failing]
 
 
 def builtin_wright_pentagon() -> tuple[GreechieDiagram, VectorRealization, ProbabilityAssignment]:

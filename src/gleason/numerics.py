@@ -47,12 +47,13 @@ def scaled_tol(tol: float, values) -> float:
 
 
 def real_array(a, what: str) -> np.ndarray:
-    """``np.asarray(a, dtype=float)``, but TypeError for an array or numpy scalar of complex dtype.
+    """``np.asarray(a, dtype=float)``, but TypeError for input of complex dtype.
 
-    The cast would drop the imaginary part; complex Python numbers fail the cast itself.
+    The cast would drop the imaginary part, also of numpy complex scalars in a list, so
+    anything but an array is first probed with a dtype-less ``np.asarray``.
     The message names ``a`` as ``what``.
     """
-    if isinstance(a, (np.ndarray, np.generic)) and a.dtype.kind == "c":
+    if (a if isinstance(a, np.ndarray) else np.asarray(a)).dtype.kind == "c":
         raise TypeError(f"{what} is complex; only real input is supported")
     return np.asarray(a, dtype=float)
 

@@ -190,12 +190,12 @@ def reference_unit_row(v) -> np.ndarray:
 def reference_vector_failure(vectors) -> tuple[type, str] | None:
     """Type and message of the first invalid vector, atom by atom, as ``VectorRealization`` raises.
 
-    Within one atom: unconvertible (a complex array or numpy scalar among them), non-finite,
+    Within one atom: unconvertible (anything of complex dtype among them), non-finite,
     a dimension other than the first's, then zero.
     """
     dim = 0
     for atom, vec in vectors.items():
-        if isinstance(vec, (np.ndarray, np.generic)) and np.iscomplexobj(vec):
+        if np.iscomplexobj(vec):
             return TypeError, f"vector for {atom!r} is complex; only real input is supported"
         try:
             v = np.asarray(vec, dtype=float).reshape(-1)

@@ -33,6 +33,8 @@ import cli_digest
 from support import clamp_miss, reference_render_structured, reference_render_text
 
 FIXTURES = greechie.FIXTURES
+# rho = psi psi^T, psi = (1, 4, 8) / 9, on two contexts of R^3: realizable, but undecided.
+PSI_UNDECIDED = Path(__file__).with_name("psi_undecided.greechie")
 BOM = b"\xef\xbb\xbf"
 
 
@@ -50,6 +52,19 @@ def structured(capsys, *argv):
 
 def verdicts(payload):
     return {entry["name"]: entry["value"] for entry in payload["verdicts"]}
+
+
+def clamp_miss_file(tmp_path):
+    """``clamp_miss(3)`` as a Greechie file, atoms a0, a1, ...: undecided after the clamp."""
+    vectors, probs, blocks = clamp_miss(3)
+    atoms = [f"a{k}" for k in range(len(vectors))]
+    lines = [f"atom {a}" for a in atoms]
+    lines += ["block " + " ".join(atoms[k] for k in block) for block in blocks]
+    lines += [f"vec {a} " + " ".join(map(repr, v)) for a, v in zip(atoms, vectors.tolist())]
+    lines += [f"prob {a} {p!r}" for a, p in zip(atoms, probs.tolist())]
+    f = tmp_path / "clamped.greechie"
+    f.write_text("\n".join(lines) + "\n")
+    return f
 
 
 def count_calls(monkeypatch, module, name):
@@ -692,20 +707,9 @@ class TestGreechieCommands:
             "realizable: false\n" + certificate
         )
 
-    def test_feasibility_undecided(self, capsys, tmp_path):
-        # rho = psi psi^T, psi = (1, 4, 8) / 9, on two contexts of R^3: realizable, but the
-        # minimum-norm fit of the underdetermined system is not positive semidefinite.
-        f = tmp_path / "psi.greechie"
-        f.write_text(
-            "".join(f"atom {a}\n" for a in ("a1", "a2", "a3", "b1", "b2", "b3"))
-            + "block a1 a2 a3\nblock b1 b2 b3\n"
-            + "vec a1 1 0 0\nvec a2 0 1 0\nvec a3 0 0 1\n"
-            + "vec b1 1 2 2\nvec b2 2 1 -2\nvec b3 2 -2 1\n"
-            + "".join(f"prob {a} {p!r}\n" for a, p in zip(
-                ("a1", "a2", "a3", "b1", "b2", "b3"),
-                (1 / 81, 16 / 81, 64 / 81, 625 / 729, 100 / 729, 4 / 729),
-            ))
-        )
+    def test_feasibility_undecided(self, capsys):
+        # The minimum-norm fit of the underdetermined system is not positive semidefinite.
+        f = PSI_UNDECIDED
         code, out, err = run(capsys, "greechie", "feasibility", str(f))
         assert (code, err) == (EXIT_UNDECIDED, "") and EXIT_UNDECIDED == 6
         assert out == (
@@ -723,14 +727,7 @@ class TestGreechieCommands:
         assert abs(values["min_eigenvalue"] + 0.0566614) <= 1e-7
 
     def test_feasibility_undecided_after_the_clamp(self, capsys, tmp_path):
-        vectors, probs, blocks = clamp_miss(3)
-        atoms = [f"a{k}" for k in range(len(vectors))]
-        lines = [f"atom {a}" for a in atoms]
-        lines += ["block " + " ".join(atoms[k] for k in block) for block in blocks]
-        lines += [f"vec {a} " + " ".join(map(repr, v)) for a, v in zip(atoms, vectors.tolist())]
-        lines += [f"prob {a} {p!r}" for a, p in zip(atoms, probs.tolist())]
-        f = tmp_path / "clamped.greechie"
-        f.write_text("\n".join(lines) + "\n")
+        f = clamp_miss_file(tmp_path)
         code, payload, err = structured(capsys, "greechie", "feasibility", str(f))
         assert (code, err) == (EXIT_UNDECIDED, "")
         values = verdicts(payload)
@@ -741,6 +738,41 @@ class TestGreechieCommands:
             "the measure does not determine rho, and the minimum-norm candidate misses a "
             "constraint once clamped; "
         )
+
+    @pytest.mark.parametrize(
+        "case, status, kind, code",
+        [
+            ("pentagon", "no", "kernel-rank", EXIT_INFEASIBLE),
+            ("psi", "undecided", "psd", EXIT_UNDECIDED),
+            ("clamp_miss", "undecided", "residual", EXIT_UNDECIDED),
+            ("ignorant", "yes", None, EXIT_OK),
+        ],
+    )
+    def test_feasibility_explanation_and_exit_follow_the_verdict(
+        self, capsys, tmp_path, case, status, kind, code
+    ):
+        # The exit code is read off the status alone; the explanation line is describe().
+        f = {
+            "pentagon": FIXTURES / "pentagon.greechie",
+            "psi": PSI_UNDECIDED,
+            "clamp_miss": clamp_miss_file(tmp_path),
+            "ignorant": FIXTURES / "fig_two_contexts_ignorant.greechie",
+        }[case]
+        parsed = greechie.parse_greechie_text(f.read_text())
+        verdict = greechie.quantum_feasibility(
+            parsed.diagram, parsed.realization, parsed.assignment
+        )
+        assert verdict.status == status
+        assert (verdict.certificate and verdict.certificate.kind) == kind
+        explanation = verdict.describe()
+        assert (explanation is None) == (status == "yes")
+        code_got, out, err = run(capsys, "greechie", "feasibility", str(f))
+        assert (code_got, err) == (code, "")
+        lines = [line for line in out.splitlines() if line.startswith("explanation: ")]
+        assert lines == ([] if explanation is None else [f"explanation: {explanation}"])
+        code_got, payload, err = structured(capsys, "greechie", "feasibility", str(f))
+        assert (code_got, err) == (code, "")
+        assert verdicts(payload).get("explanation") == explanation
 
     def test_feasibility_requires_vectors(self, capsys, tmp_path):
         f = tmp_path / "noprobs.greechie"

@@ -14,6 +14,7 @@ from gleason.greechie import (
     DuplicateDirection,
     GreechieDiagram,
     GreechieFormatError,
+    InfeasibilityCertificate,
     InvalidRealization,
     InvalidState,
     ProbabilityAssignment,
@@ -782,7 +783,8 @@ class TestCheckRealization:
                   np.array([math.nan, 1.0]), np.array([math.inf, 1.0]), np.array([1.0, -math.inf]),
                   np.array([-0.0, 0.0]), np.float64(2.0), np.array([[1.0, 2.0]]),
                   np.array([0.5, -2.0], dtype=np.float32), np.array([3, 0]), np.array([0.6, 0.8]),
-                  np.array([1j, 1.0]), np.array([0.6, 0.8], dtype=complex)]
+                  np.array([1j, 1.0]), np.array([0.6, 0.8], dtype=complex),
+                  [np.complex128(1j), 1.0]]
         for _ in range(50):
             vectors = {}
             for k in range(rng.integers(1, 7)):
@@ -807,8 +809,10 @@ class TestCheckRealization:
             VectorRealization({"a": np.array([1j, 1.0]), "b": np.array([1.0, 0.0])})
         with pytest.raises(TypeError, match=r"^vector for 2 is complex"):  # before non-finite
             VectorRealization({"a": [1.0, 0.0], 2: np.array([math.nan, 1j])})
-        with pytest.raises(TypeError):  # complex Python numbers fail the cast itself
-            VectorRealization({"a": [1j, 1.0], "b": [1.0, 0.0]})
+        # In a list too: the cast dropped a numpy scalar's imaginary part, keeping a = (0, 1).
+        for a in ([np.complex128(1j), 1.0], [1j, 1.0]):
+            with pytest.raises(TypeError, match=r"^vector for 'a' is complex; only real input"):
+                VectorRealization({"a": a, "b": [1.0, 0.0]})
 
     def test_vectors_are_rows_of_one_read_only_array(self):
         realization = VectorRealization({"a": [3.0, 4.0], "b": (0.0, -2.0)})
@@ -986,6 +990,22 @@ class TestFeasibilityStatus:
                                    (False, "maybe")):
             with pytest.raises(ValueError, match="contradicts"):
                 QuantumFeasibility(realizable, status=status)
+
+    def test_describe_follows_status(self):
+        psd = InfeasibilityCertificate("psd", min_eigenvalue=-0.5)
+        clamped = InfeasibilityCertificate(
+            "residual", violations=(("a", 1.0, 0.5),), min_eigenvalue=-1e-9
+        )
+        assert QuantumFeasibility(True).describe() is None
+        assert QuantumFeasibility(False, certificate=psd).describe() == psd.describe()
+        assert QuantumFeasibility(False, certificate=clamped).describe() == clamped.describe()
+        # Undecided: the failed check is named, and the certificate's own text is not used.
+        lead = "the measure does not determine rho, and the minimum-norm candidate "
+        tail = "; another density operator may still give the measure"
+        for certificate, failed in ((psd, "is not positive semidefinite"),
+                                    (clamped, "misses a constraint once clamped")):
+            verdict = QuantumFeasibility(False, certificate=certificate, status="undecided")
+            assert verdict.describe() == lead + failed + tail
 
     def test_underdetermined_realizable_measure_is_undecided(self):
         diagram, realization, measure = measured(PSI_VECTORS, PSI_PROBS, [(0, 1, 2), (3, 4, 5)])

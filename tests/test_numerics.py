@@ -174,8 +174,9 @@ class TestSymMatrix:
 
     @pytest.mark.parametrize(
         "entries",
-        [np.array([[1, 1j], [-1j, 1]]), np.eye(2, dtype=complex), np.complex128(1.0)],
-        ids=["hermitian", "complex-identity", "complex-scalar"],
+        [np.array([[1, 1j], [-1j, 1]]), np.eye(2, dtype=complex), np.complex128(1.0),
+         [[np.complex128(1j), 0.0], [0.0, 1.0]]],
+        ids=["hermitian", "complex-identity", "complex-scalar", "complex-scalar-in-list"],
     )
     def test_rejects_complex_entries(self, entries):
         # The float cast would keep the real parts: [[1, 1j], [-1j, 1]] became the identity.
