@@ -285,35 +285,35 @@ def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...
     """All {0,1} states, as tuples of ints 0 and 1 over ``diagram.atoms``, sorted.
 
     The empty list means that no two-valued state exists. Backtracks block by
-    block over two int masks, the atoms set to 1 and those set to 0, with atom
-    0 in the top bit so that sorting the masks sorts the rows. Choosing a
-    block's 1-atom sets its other unassigned atoms to 0, which propagates
-    through shared atoms. Every atom lies in some block, so a finished row's
-    1-mask is the whole row; one ``np.unpackbits`` turns them all into rows.
+    block from an explicit stack, so any number of blocks deep, over two int
+    masks, the atoms set to 1 and those set to 0, with atom 0 in the top bit so
+    that sorting the masks sorts the rows. Choosing a block's 1-atom sets its
+    other unassigned atoms to 0, which propagates through shared atoms. Every
+    atom lies in some block, so a finished row's 1-mask is the whole row; one
+    ``np.unpackbits`` turns them all into rows.
     """
     n = len(diagram.atoms)
     width = -(-n // 8)  # bytes per row; atom i is bit 8 * width - 1 - i
     bits = [[1 << (8 * width - 1 - i) for i in block] for block in diagram._block_positions]
     masks = [sum(block) for block in bits]
     found: list[int] = []
-
-    def walk(index: int, ones: int, zeros: int) -> None:
-        if index == len(bits):
+    stack = [(0, 0, 0)]  # (block index, 1-atoms, 0-atoms) still to extend
+    push, pop, last = stack.append, stack.pop, len(bits)
+    while stack:
+        index, ones, zeros = pop()
+        if index == last:
             found.append(ones)
-            return
+            continue
         taken = ones & masks[index]
         if taken & (taken - 1):  # two 1-atoms in one block
-            return
+            continue
         free = masks[index] & ~(ones | zeros)
         if taken:
-            walk(index + 1, ones, zeros | free)
-            return
+            push((index + 1, ones, zeros | free))
+            continue
         for bit in bits[index]:
             if bit & free:
-                walk(index + 1, ones | bit, zeros | (free ^ bit))
-
-    walk(0, 0, 0)
-    del walk  # its closure cell refers to it: a cycle holding found until a full collection
+                push((index + 1, ones | bit, zeros | (free ^ bit)))
     found.sort()
     rows = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in found), np.uint8)
     rows = np.unpackbits(rows.reshape(len(found), width), axis=1, count=n)
@@ -370,13 +370,14 @@ def is_polytope_vertex(
 ) -> bool:
     """Extreme-point test in the state polytope {q >= 0, block sums = 1}.
 
-    True iff the active constraints (all block equalities plus the tight
-    q(atom) = 0 bounds) have full rank over the atoms.
+    True iff the incidence columns of its support (the atoms valued above ``tol``)
+    are linearly independent (Schrijver, *Theory of Linear and Integer Programming*,
+    1986). ``tol`` is both the zero threshold for values and the singular-value threshold.
     """
     values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
-    tight = np.eye(len(values))[values <= tol]
-    return rank(np.vstack([diagram.incidence, tight]), tol) == len(values)
+    support = values > tol
+    return rank(diagram.incidence[:, support], tol) == int(np.count_nonzero(support))
 
 
 def check_realization(
@@ -402,27 +403,18 @@ def _realization_violations(
     dim = vectors.shape[1]
     first, second, block_of = diagram._block_pairs
     dots = abs((vectors @ vectors.T)[first, second])
-    # (block, -1) for an oversized block sorts before (block, pair) for its pairs.
-    failures = [(b, -1) for b, block in enumerate(diagram.blocks) if len(block) > dim]
-    failures += [(int(block_of[k]), int(k)) for k in (dots > tol).nonzero()[0]]
+    failing = (dots > tol).nonzero()[0].tolist()
     violations: list[Violation] = []
-    for b, k in sorted(failures):
-        block = diagram.blocks[b]
-        label = ",".join(block)
-        if k < 0:
-            violations.append(
-                Violation(
-                    "block-size",
-                    label,
-                    f"block of size {len(block)} exceeds dimension {dim}",
-                    float(len(block) - dim),
-                )
-            )
-            continue
-        u, w, dot = diagram.atoms[first[k]], diagram.atoms[second[k]], float(dots[k])
-        violations.append(
-            Violation("orthogonality", f"{u},{w}", f"|<{u}|{w}>| = {dot:.3e} in block {label}", dot)
-        )
+    k = 0  # the next failing pair; pairs come block by block
+    for b, block in enumerate(diagram.blocks):
+        if len(block) > dim:
+            excess, size = len(block) - dim, f"block of size {len(block)} exceeds dimension {dim}"
+            violations.append(Violation("block-size", ",".join(block), size, float(excess)))
+        while k < len(failing) and block_of[failing[k]] == b:
+            p, k = failing[k], k + 1
+            u, w, dot = diagram.atoms[first[p]], diagram.atoms[second[p]], float(dots[p])
+            where = f"|<{u}|{w}>| = {dot:.3e} in block {','.join(block)}"
+            violations.append(Violation("orthogonality", f"{u},{w}", where, dot))
     return violations
 
 
@@ -488,11 +480,17 @@ class QuantumFeasibility:
         object.__setattr__(self, "status", status)
 
     def describe(self) -> str | None:
-        """None for "yes", the certificate's text for "no", the failed check for "undecided"."""
-        if self.status != "undecided":
-            return None if self.realizable else self.certificate.describe()
-        psd = self.certificate.kind == "psd"
-        failed = "is not positive semidefinite" if psd else "misses a constraint once clamped"
+        """None for "yes", the certificate's text for "no", the failed check for "undecided".
+
+        Without a certificate, the text names no check.
+        """
+        if self.realizable:
+            return None
+        kind = self.certificate.kind if self.certificate else None
+        if self.status == "no":
+            return self.certificate.describe() if kind else "no density operator gives the measure"
+        psd, clamped = "is not positive semidefinite", "misses a constraint once clamped"
+        failed = {"psd": psd, "residual": clamped}.get(kind, "fails a check")
         return (
             f"the measure does not determine rho, and the minimum-norm candidate {failed}; "
             "another density operator may still give the measure"

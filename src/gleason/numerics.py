@@ -321,7 +321,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``scaled_tol(tol, v v^T)``. The Gram matrix is taken of the rows after
     :func:`pow2_rescale`, so the threshold stays finite where v v^T would
     overflow and is exact where it would not. ValueError on non-finite
-    components, which span nothing.
+    components, which span nothing. No vectors (k = 0) give the empty basis.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not np.isfinite(v).all():
@@ -330,7 +330,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")
     scaled, s = pow2_rescale(v)
-    gram_max = float(np.abs(scaled @ scaled.T).max())  # max |v v^T| / s^2, exactly
+    gram_max = float(np.abs(scaled @ scaled.T).max(initial=0.0))  # max |v v^T| / s^2, exactly
     # sqrt(tol * max(1, gram_max * s^2)); s is a power of 2, so sqrt(s^2) = s exactly.
     threshold = math.sqrt(tol * gram_max) * s if gram_max * s * s > 1.0 else math.sqrt(tol)
     if rank(v, threshold) < k:

@@ -20,8 +20,11 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep. ``clamp_miss`` and ``trace_miss`` build the
-seeded inputs that reach ``quantum_feasibility``'s two rarest refusals.
+library's method calls must keep. ``reference_is_polytope_vertex`` is the
+stacked active-constraint rank test that the support-column test replaces;
+their verdicts must match at tolerances up to 1e-3. ``clamp_miss`` and
+``trace_miss`` build the seeded inputs that reach ``quantum_feasibility``'s
+two rarest refusals.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from gleason.greechie import (
     VectorRealization,
     Violation,
 )
-from gleason.numerics import DEFAULT_TOL, DimensionMismatch, pow2_rescale, scaled_tol
+from gleason.numerics import DEFAULT_TOL, DimensionMismatch, pow2_rescale, rank, scaled_tol
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -242,6 +245,15 @@ def reference_check_realization(
                     )
                 )
     return violations
+
+
+def reference_is_polytope_vertex(
+    diagram: GreechieDiagram, assignment: ProbabilityAssignment, tol: float
+) -> bool:
+    """Block rows stacked over a unit row per atom valued at most ``tol``: full column rank."""
+    values = np.array([assignment.values[a] for a in diagram.atoms])
+    tight = np.eye(len(values))[values <= tol]
+    return rank(np.vstack([reference_incidence(diagram), tight]), tol) == len(values)
 
 
 def reference_validate_state(

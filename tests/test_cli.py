@@ -621,6 +621,15 @@ class TestGreechieCommands:
         assert len(values["states"]) == 11
         assert all(set(s) <= {"0", "1"} for s in values["states"])
 
+    def test_two_valued_chain_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # 1200 two-atom blocks over 1201 atoms have two states; the search once exited 3 here.
+        chain = tmp_path / "chain.greechie"
+        atoms = "".join(f"atom x{i}\n" for i in range(1201))
+        chain.write_text(atoms + "".join(f"block x{i} x{i + 1}\n" for i in range(1200)))
+        code, out, err = run(capsys, "greechie", "two-valued", str(chain))
+        assert (code, err) == (EXIT_OK, "")
+        assert "count: 2" in out.splitlines()
+
     def test_decompose_uniform(self, capsys):
         code, payload, _ = structured(
             capsys, "greechie", "decompose", str(FIXTURES / "fig_two_contexts_ignorant.greechie")

@@ -255,6 +255,11 @@ class TestProjector:
         assert e.rank_hint == 2
         assert np.max(np.abs(e.matrix.entries - np.diag([1.0, 1.0, 0.0]))) <= 1e-12
 
+    def test_onto_no_vectors_is_the_zero_projector(self):
+        e = Projector.onto(np.zeros((0, 3)))
+        assert e.rank_hint == 0
+        assert np.array_equal(e.matrix.entries, np.zeros((3, 3)))
+
     def test_rank_hint_is_derived(self):
         with pytest.raises(TypeError):
             Projector(SymMatrix(np.diag([1.0, 0.0])), rank_hint=5)

@@ -46,6 +46,7 @@ from support import (
     reference_block_pairs,
     reference_check_realization,
     reference_incidence,
+    reference_is_polytope_vertex,
     reference_reconstructed,
     reference_unit_row,
     reference_validate_state,
@@ -429,8 +430,14 @@ class TestTwoValuedEnumeration:
         assert states == [(0, 1) * 35, (1, 0) * 35]
         assert all(type(bit) is int for row in states for bit in row)
 
+    def test_chain_longer_than_the_recursion_limit(self):
+        # 1200 two-atom blocks over 1201 atoms: the search is 1200 blocks deep, and the 1s alternate.
+        atoms = tuple(f"x{i}" for i in range(1201))
+        chain = GreechieDiagram(atoms, tuple(zip(atoms, atoms[1:])))
+        assert enumerate_two_valued_states(chain) == [(0, 1) * 600 + (0,), (1, 0) * 600 + (1,)]
+
     def test_leaves_no_garbage_cycle(self):
-        # The backtracker's recursive closure must not keep its rows alive until a full collection.
+        # The backtracker must leave no reference cycle keeping its rows alive until a full collection.
         diagram, _ = builtin_spin_half_family(3, [0.0, 0.5, 1.0])
         gc.collect()
         enumerate_two_valued_states(diagram)
@@ -574,6 +581,38 @@ class TestPolytopeVertex:
         # all-1/2 state is the polytope's only point.
         assert is_polytope_vertex(TRIANGLE, uniform_measure(TRIANGLE))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_stacked_rank_rule(self, seed):
+        # The two-valued rows of a diagram with shared atoms, and mixtures of them; some mixture
+        # weights are scaled down to sit between the tolerances.
+        rng = np.random.default_rng(seed)
+        rows = np.zeros((0, 0))
+        while not len(rows):
+            diagram = shared_block_diagram(rng)
+            rows = np.array(enumerate_two_valued_states(diagram), dtype=float)
+        points = list(rows)
+        for _ in range(20):
+            picked = rows[rng.choice(len(rows), size=int(rng.integers(2, 5)))]
+            weights = rng.dirichlet(np.ones(len(picked)))
+            weights[0] *= float(rng.choice([1.0, 1e-4, 1e-7, 1e-10]))
+            points.append(weights / weights.sum() @ picked)
+        for point in points:
+            assignment = ProbabilityAssignment(dict(zip(diagram.atoms, point.tolist())))
+            for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+                got = is_polytope_vertex(diagram, assignment, tol)
+                assert type(got) is bool
+                assert got == reference_is_polytope_vertex(diagram, assignment, tol)
+
+
+def shared_block_diagram(rng):
+    """Blocks of 2 to 4 atoms drawn until they cover 4 to 10 atoms, so that blocks share atoms."""
+    atoms = [f"a{k}" for k in range(int(rng.integers(4, 11)))]
+    blocks = []
+    while {a for block in blocks for a in block} != set(atoms):
+        size = int(rng.integers(2, 5))
+        blocks.append(tuple(rng.choice(atoms, size=size, replace=False).tolist()))
+    return GreechieDiagram(tuple(atoms), tuple(blocks))
+
 
 def shuffled(rng, diagram):
     """The same diagram with its atoms, and each block's atoms, in random order."""
@@ -700,6 +739,26 @@ class TestCheckRealization:
         )
         kinds = {v.kind for v in check_realization(diagram, realization)}
         assert "block-size" in kinds
+
+    def test_faults_come_block_by_block(self):
+        # An oversized block between two blocks with failing pairs: each block's size fault,
+        # then its failing pairs, in block order.
+        diagram = GreechieDiagram(
+            tuple("abcdefg"), (("a", "b"), ("c", "d", "e"), ("f", "g"), ("a", "c"))
+        )
+        realization = VectorRealization({
+            "a": [1.0, 0.0], "b": [1.0, 1.0], "c": [0.0, 1.0], "d": [1.0, 0.0],
+            "e": [1.0, 2.0], "f": [1.0, 0.0], "g": [2.0, 1.0],
+        })
+        got = check_realization(diagram, realization)
+        assert got == reference_check_realization(diagram, realization, DEFAULT_TOL)
+        assert [(v.kind, v.subject) for v in got] == [
+            ("orthogonality", "a,b"),
+            ("block-size", "c,d,e"),
+            ("orthogonality", "c,e"),
+            ("orthogonality", "d,e"),
+            ("orthogonality", "f,g"),
+        ]
 
     @pytest.mark.parametrize(
         "bad", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]], ids=["zero", "nan", "inf"]
@@ -1006,6 +1065,14 @@ class TestFeasibilityStatus:
                                     (clamped, "misses a constraint once clamped")):
             verdict = QuantumFeasibility(False, certificate=certificate, status="undecided")
             assert verdict.describe() == lead + failed + tail
+
+    def test_describe_without_a_certificate_names_no_check(self):
+        # perfbench builds such outcomes; describe() used to read the missing certificate.
+        assert QuantumFeasibility(False).describe() == "no density operator gives the measure"
+        assert QuantumFeasibility(False, status="undecided").describe() == (
+            "the measure does not determine rho, and the minimum-norm candidate fails a check; "
+            "another density operator may still give the measure"
+        )
 
     def test_underdetermined_realizable_measure_is_undecided(self):
         diagram, realization, measure = measured(PSI_VECTORS, PSI_PROBS, [(0, 1, 2), (3, 4, 5)])

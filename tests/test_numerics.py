@@ -692,6 +692,12 @@ class TestOrthonormalize:
             with pytest.raises(LinearlyDependent):
                 orthonormalize(scale * np.array([(1.0, 0.0), (1.0, 3e-5)]))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_vectors_give_the_empty_basis(self, n):
+        # The Gram matrix of no rows has no maximum; numpy's reduction error once leaked here.
+        q = orthonormalize(np.zeros((0, n)))
+        assert (q.shape, q.dtype) == ((0, n), np.float64)
+
     def test_rejects_dependent_input(self):
         with pytest.raises(LinearlyDependent):
             orthonormalize([(1.0, 0.0), (2.0, 0.0)])
