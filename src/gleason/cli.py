@@ -282,7 +282,7 @@ def _cmd_greechie(args) -> tuple[Report, int]:
         states = greechie.enumerate_two_valued_states(diagram)
         report.add("count", len(states))
         report.add("atom_order", list(diagram.atoms))
-        report.add("states", ["".join(map(str, row)) for row in states])
+        report.add("states", ["".join(map(str, row)) for row in states.tolist()])
         return report, EXIT_OK
 
     if args.subcommand == "decompose":
@@ -553,8 +553,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         type=_positive_tol,
         default=DEFAULT_TOL,
         help=(
-            "zero threshold for the signature (signature, reconstruct) and for "
-            "greechie check; the other commands use fixed tolerances"
+            "zero threshold for greechie check and for the signature (signature, reconstruct), "
+            "scaled by its largest |eigenvalue| above 1; the other commands use fixed tolerances"
         ),
     )
     parser = argparse.ArgumentParser(

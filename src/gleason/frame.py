@@ -239,17 +239,17 @@ def reconstruct_from_samples(probes, values) -> SampledReconstruction:
 
 
 def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:
-    """Inertia of the form: eigenvalue counts above tol, below -tol, and between.
+    """Inertia of the form: eigenvalue counts above t, below -t, and between.
 
-    Values at exactly +/-tol count as zero. Invariant under congruence
-    transforms S^T A S with nonsingular S (Sylvester's law of inertia).
+    t is ``scaled_tol(tol, eigenvalues)`` and +/-t counts as zero, so the counts keep under
+    scaling and under congruence S^T A S with nonsingular S (Sylvester's law of inertia).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     w = f.form.spectrum.eigenvalues
-    positive = int(np.count_nonzero(w > tol))
-    negative = int(np.count_nonzero(w < -tol))
-    return Signature(positive, negative, f.dim - positive - negative)
+    nonzero = w[np.abs(w) > scaled_tol(tol, w)]
+    positive = int(np.count_nonzero(nonzero > 0))
+    return Signature(positive, len(nonzero) - positive, f.dim - len(nonzero))
 
 
 def classify(f: FrameFunction, tol: float = DEFAULT_TOL) -> int:

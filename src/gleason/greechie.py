@@ -25,6 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .density import DensityOperator
+from .frame import FrameFunction, signature
 from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -36,7 +37,6 @@ from .numerics import (
     quadratic_values,
     rank,
     real_array,
-    scaled_tol,
     unit_rows,
 )
 
@@ -281,16 +281,15 @@ def _require(violations: list[Violation], error: type[ValueError]) -> None:
         raise error("; ".join(f"{v.kind} at {v.subject}: {v.detail}" for v in violations))
 
 
-def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
-    """All {0,1} states, as tuples of ints 0 and 1 over ``diagram.atoms``, sorted.
+def enumerate_two_valued_states(diagram: GreechieDiagram) -> np.ndarray:
+    """All {0,1} states, as the rows of a read-only (states, atoms) uint8 array, sorted.
 
-    The empty list means that no two-valued state exists. Backtracks block by
-    block from an explicit stack, so any number of blocks deep, over two int
-    masks, the atoms set to 1 and those set to 0, with atom 0 in the top bit so
-    that sorting the masks sorts the rows. Choosing a block's 1-atom sets its
-    other unassigned atoms to 0, which propagates through shared atoms. Every
-    atom lies in some block, so a finished row's 1-mask is the whole row; one
-    ``np.unpackbits`` turns them all into rows.
+    Columns follow ``diagram.atoms``; no rows means no two-valued state. Backtracks block
+    by block from an explicit stack, so any number of blocks deep, over two int masks, the
+    atoms set to 1 and those set to 0, with atom 0 in the top bit so that sorting the masks
+    sorts the rows. Choosing a block's 1-atom sets its other unassigned atoms to 0, which
+    propagates through shared atoms. Every atom lies in some block, so a finished row's
+    1-mask is the whole row; one ``np.unpackbits`` turns them all into rows.
     """
     n = len(diagram.atoms)
     width = -(-n // 8)  # bytes per row; atom i is bit 8 * width - 1 - i
@@ -317,7 +316,8 @@ def enumerate_two_valued_states(diagram: GreechieDiagram) -> list[tuple[int, ...
     found.sort()
     rows = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in found), np.uint8)
     rows = np.unpackbits(rows.reshape(len(found), width), axis=1, count=n)
-    return list(map(tuple, rows.tolist()))
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +351,13 @@ def convex_decomposition(
     values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
     states = enumerate_two_valued_states(diagram)
-    if not states:  # no columns: the weights cannot sum to 1
+    if not len(states):  # no columns: the weights cannot sum to 1
         return None
-    columns = np.array(states, dtype=float).reshape(len(states), len(values)).T
-    rows = np.vstack([columns, np.ones(len(states))])
-    target = np.append(values, 1.0)
-    weights = lp_feasible(rows, target)
+    rows = np.vstack([states.T, np.ones(len(states))])
+    weights = lp_feasible(rows, np.append(values, 1.0))
     if weights is None:
         return None
-    entries = tuple((float(w), s) for w, s in zip(weights, states) if w)
+    entries = tuple((float(weights[i]), tuple(states[i].tolist())) for i in np.flatnonzero(weights))
     return Decomposition(entries, diagram.atoms)
 
 
@@ -525,12 +523,12 @@ def quantum_feasibility(
 
     if zero.any():
         z = vectors[zero]
-        dec = SymMatrix(z.T @ z).spectrum
-        kernel_rank = int(np.sum(dec.eigenvalues > scaled_tol(DEFAULT_TOL, dec.eigenvalues)))
+        gram = SymMatrix(z.T @ z)
+        kernel_rank = signature(FrameFunction(gram)).positive
         if kernel_rank == realization.dim:
             certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
             return QuantumFeasibility(False, certificate=certificate)
-        basis = dec.eigenvectors[:, kernel_rank:]
+        basis = gram.spectrum.eigenvectors[:, kernel_rank:]
         points, targets = vectors[~zero] @ basis, probs[~zero]
     else:
         basis, points, targets = None, vectors, probs

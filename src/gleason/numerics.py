@@ -10,8 +10,9 @@ falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectr
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
 for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling,
 :func:`unit_rows` the one way rows are normalised, :func:`real_array` the one gate
-that refuses complex input, and :func:`fit_form` and :func:`quadratic_values` the one
-fit and the one evaluation of a symmetric form; the ``dim n`` text format is here too.
+that refuses complex input, :func:`fit_form` the one fit of a symmetric form, and
+:func:`quadratic_values` its batch evaluation for checks (``frame.evaluate`` is the API's
+evaluator at one unit point, on the rescaled form); the ``dim n`` text format is here too.
 """
 
 from __future__ import annotations

@@ -88,6 +88,11 @@ def well_conditioned_transform(rng: np.random.Generator, n: int) -> np.ndarray:
     return q1.T @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ q2
 
 
+def row_tuples(states: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a two-valued state array as int tuples, as ``brute_force_two_valued`` gives them."""
+    return list(map(tuple, states.tolist()))
+
+
 def brute_force_two_valued(diagram: GreechieDiagram) -> list[tuple[int, ...]]:
     """All 0/1 assignments with exactly one 1 per block, as bit tuples."""
     hits = []

@@ -562,6 +562,29 @@ class TestTolOption:
         assert f"must be a finite positive number, got {token!r}" in captured.err
         assert "_positive_tol" not in captured.err
 
+    @pytest.mark.parametrize(
+        "line, kind",
+        [("vec a 1 0\nvec b 1e-6 1", "orthogonality"), ("prob a 0.5\nprob b 0.500001", "block-sum")],
+        ids=["orthogonality", "block-sum"],
+    )
+    def test_tol_moves_the_check_verdict(self, capsys, tmp_path, line, kind):
+        # A fault of 1e-6: over the default threshold, under 1e-3.
+        path = tmp_path / "near.greechie"
+        path.write_text(f"atom a\natom b\nblock a b\n{line}\n")
+        code, payload, _ = structured(capsys, "greechie", "check", str(path))
+        assert code == EXIT_VALIDATION
+        assert [v["kind"] for v in verdicts(payload)["violations"]] == [kind]
+        code, payload, _ = structured(capsys, "greechie", "check", str(path), "--tol", "1e-3")
+        assert (code, verdicts(payload)["violations"]) == (EXIT_OK, [])
+
+    def test_tol_moves_the_reconstructed_signature(self, capsys, tmp_path):
+        form = tmp_path / "soft.mat"
+        form.write_text("dim 2\n1 0\n0 1e-6\n")
+        _, payload, _ = structured(capsys, "reconstruct", str(form))
+        assert verdicts(payload)["signature"]["positive"] == 2
+        _, payload, _ = structured(capsys, "reconstruct", str(form), "--tol", "1e-3")
+        assert verdicts(payload)["signature"]["positive"] == 1
+
 
 class TestGreechieCommands:
     @pytest.mark.parametrize(

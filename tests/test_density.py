@@ -31,6 +31,7 @@ class TestStateVector:
     def test_keeps_exact_unit_vector(self):
         x = StateVector(np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(x.components, [1.0, 0.0, 0.0])
+        assert x.dim == 3
 
     def test_renormalizes_small_drift(self):
         x = StateVector(np.array([1.0 + 1e-8, 0.0]))

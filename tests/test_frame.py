@@ -231,6 +231,18 @@ class TestReconstruct:
             with pytest.raises(DimensionMismatch):
                 reconstruct(FrameOracle(lambda x: x[0] ** 2, dim=1))
 
+    def test_rotated_oracle_gives_the_rotated_form(self):
+        # x -> f(Q^T x) is the form Q A Q^T for orthogonal Q.
+        rng = np.random.default_rng(22)
+        for n in range(2, 7):
+            for _ in range(10):
+                a = random_symmetric(rng, n)
+                q = random_orthonormal(rng, n)
+                f = FrameFunction(a)
+                form = reconstruct_form(FrameOracle(lambda x: evaluate(f, q.T @ x), dim=n))
+                want = q @ a.entries @ q.T
+                assert np.max(np.abs(form.entries - want)) <= consistency_limit(want)
+
     def test_reconstruct_form_without_checks(self):
         form = reconstruct_form(FrameOracle(lambda x: 2.0 * x[0] ** 2, dim=2))
         assert np.max(np.abs(form.entries - np.diag([2.0, 0.0]))) <= 1e-14
@@ -377,6 +389,16 @@ class TestSignature:
             s = well_conditioned_transform(rng, n)
             transformed = SymMatrix(s.T @ a.entries @ s)
             assert signature(FrameFunction(transformed)) == signature(FrameFunction(a))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e10, 1e100, 1e300])
+    def test_scaling_keeps_the_inertia(self, scale):
+        # Rank-2 forms v v^T - w w^T / 2 in R^3: one positive square, one negative, one zero,
+        # however large the form; its eigenvalue near 0 is roundoff at the form's own scale.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            v, w = random_unit(rng, 3), random_unit(rng, 3)
+            form = SymMatrix(scale * (np.outer(v, v) - 0.5 * np.outer(w, w)))
+            assert signature(FrameFunction(form)) == Signature(positive=1, negative=1, zero=1)
 
 
 class TestClassify:

@@ -51,6 +51,7 @@ from support import (
     reference_unit_row,
     reference_validate_state,
     reference_vector_failure,
+    row_tuples,
     trace_miss,
 )
 
@@ -377,7 +378,7 @@ class TestTwoValuedEnumeration:
         diagram = GreechieDiagram(("a", "b", "c"), (("a", "b", "c"),))
         states = enumerate_two_valued_states(diagram)
         assert len(states) == 3
-        assert states == [
+        assert row_tuples(states) == [
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
@@ -388,7 +389,7 @@ class TestTwoValuedEnumeration:
         assert len(enumerate_two_valued_states(diagram)) == 11
 
     def test_odd_cycle_of_binary_blocks_has_none(self):
-        assert enumerate_two_valued_states(TRIANGLE) == []
+        assert row_tuples(enumerate_two_valued_states(TRIANGLE)) == []
 
     def test_every_state_is_a_valid_measure(self):
         diagram, _, _ = builtin_wright_pentagon()
@@ -415,26 +416,36 @@ class TestTwoValuedEnumeration:
     )
     def test_agrees_with_exhaustive_enumeration(self, diagram):
         states = enumerate_two_valued_states(diagram)
-        assert states == brute_force_two_valued(diagram)
-        assert states == sorted(states)
-        assert all(type(bit) is int for row in states for bit in row)
+        assert row_tuples(states) == brute_force_two_valued(diagram)
+        assert row_tuples(states) == sorted(row_tuples(states))
+        assert states.dtype == np.uint8
 
     def test_empty_diagram_has_the_empty_state(self):
-        assert enumerate_two_valued_states(GreechieDiagram((), ())) == [()]
+        assert row_tuples(enumerate_two_valued_states(GreechieDiagram((), ()))) == [()]
+
+    @pytest.mark.parametrize(
+        "diagram, shape",
+        [(GreechieDiagram((), ()), (1, 0)), (TRIANGLE, (0, 3)), (ngon(7), (29, 14))],
+        ids=["empty", "triangle", "7-gon"],
+    )
+    def test_returns_a_read_only_uint8_array(self, diagram, shape):
+        states = enumerate_two_valued_states(diagram)
+        assert (states.flags.writeable, states.dtype, states.shape) == (False, np.uint8, shape)
 
     def test_rows_wider_than_a_machine_word(self):
         # A chain of 69 two-atom blocks over 70 atoms: the 1s alternate, so two rows.
         atoms = tuple(f"x{i:02d}" for i in range(70))
         chain = GreechieDiagram(atoms, tuple(zip(atoms, atoms[1:])))
         states = enumerate_two_valued_states(chain)
-        assert states == [(0, 1) * 35, (1, 0) * 35]
-        assert all(type(bit) is int for row in states for bit in row)
+        assert row_tuples(states) == [(0, 1) * 35, (1, 0) * 35]
+        assert states.dtype == np.uint8
 
     def test_chain_longer_than_the_recursion_limit(self):
         # 1200 two-atom blocks over 1201 atoms: the search is 1200 blocks deep, and the 1s alternate.
         atoms = tuple(f"x{i}" for i in range(1201))
         chain = GreechieDiagram(atoms, tuple(zip(atoms, atoms[1:])))
-        assert enumerate_two_valued_states(chain) == [(0, 1) * 600 + (0,), (1, 0) * 600 + (1,)]
+        states = row_tuples(enumerate_two_valued_states(chain))
+        assert states == [(0, 1) * 600 + (0,), (1, 0) * 600 + (1,)]
 
     def test_leaves_no_garbage_cycle(self):
         # The backtracker must leave no reference cycle keeping its rows alive until a full collection.
@@ -494,7 +505,7 @@ class TestConvexDecomposition:
         diagram, _ = builtin_spin_half_family(10, [i * math.pi / 20 for i in range(10)])
         result = convex_decomposition(diagram, uniform_measure(diagram))
         assert result is not None
-        states = set(enumerate_two_valued_states(diagram))
+        states = set(row_tuples(enumerate_two_valued_states(diagram)))
         assert all(w > 0 and row in states for w, row in result.entries)
         assert len(result.entries) < 2**10
 
@@ -514,7 +525,7 @@ class TestConvexDecomposition:
             p = dict(zip(diagram.atoms, probs))
             result = convex_decomposition(diagram, ProbabilityAssignment(p))
             rows = np.vstack([columns, np.ones(len(states))])
-            expected = bool(states) and highs_lp_feasible(rows, np.append(probs, 1.0))
+            expected = len(states) > 0 and highs_lp_feasible(rows, np.append(probs, 1.0))
             assert (result is not None) == expected, f"trial {trial}"
             verdicts.append(expected)
             if result is not None:
@@ -1040,6 +1051,16 @@ PSI_VECTORS = np.vstack([np.eye(3), np.array([[1, 2, 2], [2, 1, -2], [2, -2, 1]]
 PSI_PROBS = (1 / 81, 16 / 81, 64 / 81, 625 / 729, 100 / 729, 4 / 729)
 
 
+def two_context_draw(rng):
+    """A rank-1 or rank-2 state in R^3 on two random contexts: the six rays and their values."""
+    r = int(rng.integers(1, 3))
+    basis = random_orthonormal(rng, 3)[:r]
+    weights = rng.random(r) + 0.01
+    rho = basis.T @ np.diag(weights / weights.sum()) @ basis
+    rows = np.vstack([random_orthonormal(rng, 3), random_orthonormal(rng, 3)])
+    return rows, np.einsum("ki,ij,kj->k", rows, rho, rows)
+
+
 class TestFeasibilityStatus:
     def test_status_follows_realizable_when_left_out(self):
         assert QuantumFeasibility(realizable=False).status == "no"
@@ -1116,12 +1137,7 @@ class TestFeasibilityStatus:
                                   (("a0", "a1", "a2"), ("a3", "a4", "a5")))
         statuses = []
         for _ in range(1000):
-            r = int(rng.integers(1, 3))
-            basis = random_orthonormal(rng, 3)[:r]
-            weights = rng.random(r) + 0.01
-            rho = basis.T @ np.diag(weights / weights.sum()) @ basis
-            rows = np.vstack([random_orthonormal(rng, 3), random_orthonormal(rng, 3)])
-            probs = np.einsum("ki,ij,kj->k", rows, rho, rows)
+            rows, probs = two_context_draw(rng)
             verdict = quantum_feasibility(
                 diagram,
                 VectorRealization(dict(zip(diagram.atoms, rows))),
@@ -1134,6 +1150,66 @@ class TestFeasibilityStatus:
                 assert np.linalg.eigvalsh(got)[0] >= -1e-12
                 assert np.max(np.abs(np.einsum("ki,ij,kj->k", rows, got, rows) - probs)) <= 1e-8
         assert "no" not in statuses
+        assert {"yes", "undecided"} == set(statuses)
+
+
+def relabelled(rng, diagram):
+    """The same diagram with its atoms, its blocks and each block's atoms in random order."""
+    atoms = tuple(rng.permutation(diagram.atoms).tolist())
+    blocks = [tuple(rng.permutation(block).tolist()) for block in diagram.blocks]
+    return GreechieDiagram(atoms, tuple(blocks[k] for k in rng.permutation(len(blocks))))
+
+
+def mixed_measure(rng, diagram, states):
+    """1/|block| on every atom mixed with a random mixture of two-valued rows, by atom."""
+    weights = rng.random(len(states)) * (rng.random(len(states)) < 0.5)
+    weights /= max(weights.sum(), 1.0)
+    probs = (1.0 - weights.sum()) / len(diagram.blocks[0]) + weights @ states
+    return ProbabilityAssignment(dict(zip(diagram.atoms, probs.tolist())))
+
+
+class TestRelabelling:
+    # Naming the same atoms and blocks in another order changes no verdict.
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_two_valued_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = random_diagram(rng)
+        other = relabelled(rng, diagram)
+        back = [other.atoms.index(a) for a in diagram.atoms]
+        rows = enumerate_two_valued_states(diagram)
+        moved = enumerate_two_valued_states(other)[:, back]
+        assert sorted(row_tuples(moved)) == row_tuples(rows)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_decomposition_and_vertex_verdicts(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = random_diagram(rng)
+        other = relabelled(rng, diagram)
+        states = enumerate_two_valued_states(diagram)
+        measures = [mixed_measure(rng, diagram, states) for _ in range(5)]
+        measures += [as_assignment(diagram, row) for row in states.tolist()[:5]]
+        for measure in measures:
+            result = convex_decomposition(diagram, measure)
+            again = convex_decomposition(other, measure)
+            assert (result is None) == (again is None)
+            if result is not None:
+                rebuilt = result.reconstructed(diagram.atoms)
+                rebuilt_again = again.reconstructed(other.atoms)
+                assert max(abs(rebuilt[a] - rebuilt_again[a]) for a in diagram.atoms) <= 1e-9
+            assert is_polytope_vertex(diagram, measure) == is_polytope_vertex(other, measure)
+
+    def test_same_feasibility_status_on_two_contexts(self):
+        # The seed-5 draws of two contexts in R^3, with their atoms and blocks reordered.
+        rng = np.random.default_rng(5)
+        statuses = []
+        for _ in range(200):
+            rows, probs = two_context_draw(rng)
+            diagram, realization, measure = measured(rows, probs, [(0, 1, 2), (3, 4, 5)])
+            status = quantum_feasibility(diagram, realization, measure).status
+            other = relabelled(rng, diagram)
+            assert quantum_feasibility(other, realization, measure).status == status
+            statuses.append(status)
         assert {"yes", "undecided"} == set(statuses)
 
 
