@@ -17,7 +17,8 @@ Exit codes are a stable contract:
   4  probe table inconsistent with any quadratic form
   5  infeasible as requested: "not decomposable", or "not realizable" with a certificate
   6  undecided: the measure does not determine rho, and the minimum-norm candidate
-     fails a check that another density operator may pass
+     fails a check that another density operator may pass; or the decomposition's
+     solver gave up before settling either way
 """
 
 from __future__ import annotations
@@ -288,7 +289,12 @@ def _cmd_greechie(args) -> tuple[Report, int]:
     if args.subcommand == "decompose":
         if parsed.assignment is None:
             raise greechie.GreechieFormatError("file has no prob lines; nothing to decompose")
-        result = greechie.convex_decomposition(diagram, parsed.assignment)
+        try:
+            result = greechie.convex_decomposition(diagram, parsed.assignment)
+        except RuntimeError as exc:  # the solver gave up: no verdict either way
+            report.add("decomposable", "undecided")
+            report.add("explanation", str(exc))
+            return report, EXIT_UNDECIDED
         if result is None:
             report.add("decomposable", False)
             return report, EXIT_INFEASIBLE

@@ -243,6 +243,7 @@ def signature(f: FrameFunction, tol: float = DEFAULT_TOL) -> Signature:
 
     t is ``scaled_tol(tol, eigenvalues)`` and +/-t counts as zero, so the counts keep under
     scaling and under congruence S^T A S with nonsingular S (Sylvester's law of inertia).
+    This is :func:`~gleason.numerics.rank`'s rule on the singular values |eigenvalues|.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")

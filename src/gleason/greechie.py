@@ -44,6 +44,9 @@ from .numerics import (
 #: construction tolerances because the decision composes two solves.
 FEASIBILITY_TOL = 1e-8
 
+#: Probabilities at or below this are zeros that feed the kernel step. It must stay far
+#: below that step's eigenvalue threshold: near-zero atoms counted as zeros add their
+#: summed squares to the Gram matrix, which can then claim a direction rho occupies.
 _ZERO_PROB_TOL = 1e-12
 
 #: The data files shipped with the package, the pentagon's among them.
@@ -370,7 +373,8 @@ def is_polytope_vertex(
 
     True iff the incidence columns of its support (the atoms valued above ``tol``)
     are linearly independent (Schrijver, *Theory of Linear and Integer Programming*,
-    1986). ``tol`` is both the zero threshold for values and the singular-value threshold.
+    1986). ``tol`` is both the zero threshold for values and :func:`~gleason.numerics.rank`'s
+    singular-value threshold, which ``scaled_tol`` puts at the columns' scale.
     """
     values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)

@@ -8,7 +8,8 @@ Householder QR when its R factor is certified to have full column rank
 (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
 falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
 is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
-for zero at the input's scale, :func:`pow2_rescale` the one exact rescaling,
+for zero at the input's scale (past the float range too; :func:`rank` and
+:func:`orthonormalize` decide through it), :func:`pow2_rescale` the one exact rescaling,
 :func:`unit_rows` the one way rows are normalised, :func:`real_array` the one gate
 that refuses complex input, :func:`fit_form` the one fit of a symmetric form, and
 :func:`quadratic_values` its batch evaluation for checks (``frame.evaluate`` is the API's
@@ -43,8 +44,12 @@ class MatrixFormatError(ValueError):
 
 
 def scaled_tol(tol: float, values) -> float:
-    """``tol * max(1, max |values|)``: absolute within [-1, 1], relative beyond."""
-    return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+    """``tol * max(1, max |values|)``: absolute within [-1, 1], relative beyond.
+
+    The peak is capped at the largest float, so an overflowed value (inf) clears the
+    threshold and the others are judged against ``sys.float_info.max``.
+    """
+    return tol * min(max(1.0, float(np.abs(values).max(initial=0.0))), sys.float_info.max)
 
 
 def real_array(a, what: str) -> np.ndarray:
@@ -160,8 +165,9 @@ def eigh(a: SymMatrix) -> EigenDecomposition:
 
 
 def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values strictly above ``tol``.
+    """Number of singular values strictly above ``scaled_tol(tol, singular values)``.
 
+    The threshold is ``tol`` while sigma_max <= 1 and ``tol * sigma_max`` beyond.
     ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array;
     ValueError on non-finite entries, which have no singular values.
     """
@@ -170,7 +176,8 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol))
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > scaled_tol(tol, s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +325,9 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Row i of the result is the unit vector Gram-Schmidt would produce from
     the first i + 1 inputs: each sign is chosen so that diag(R) > 0. Raises
-    LinearlyDependent when a squared singular value of the input is at most
-    ``scaled_tol(tol, v v^T)``. The Gram matrix is taken of the rows after
-    :func:`pow2_rescale`, so the threshold stays finite where v v^T would
-    overflow and is exact where it would not. ValueError on non-finite
+    LinearlyDependent when ``rank(v, sqrt(tol)) < k``, that is when sigma_min^2 <=
+    tol * max(1, sigma_max^2). The QR runs on the rows after :func:`pow2_rescale`,
+    which is exact and keeps the Householder norms in range. ValueError on non-finite
     components, which span nothing. No vectors (k = 0) give the empty basis.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -330,13 +336,9 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     k, n = v.shape
     if k > n:
         raise LinearlyDependent(f"{k} vectors cannot be independent in dimension {n}")
-    scaled, s = pow2_rescale(v)
-    gram_max = float(np.abs(scaled @ scaled.T).max(initial=0.0))  # max |v v^T| / s^2, exactly
-    # sqrt(tol * max(1, gram_max * s^2)); s is a power of 2, so sqrt(s^2) = s exactly.
-    threshold = math.sqrt(tol * gram_max) * s if gram_max * s * s > 1.0 else math.sqrt(tol)
-    if rank(v, threshold) < k:
+    if rank(v, math.sqrt(tol)) < k:
         raise LinearlyDependent("input vectors are linearly dependent")
-    q, r = np.linalg.qr(v.T)
+    q, r = np.linalg.qr(pow2_rescale(v)[0].T)
     return (q * np.sign(np.diag(r))).T
 
 

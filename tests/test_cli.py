@@ -474,6 +474,14 @@ class TestSignatureCommand:
         assert values["signature"] == {"positive": 1, "negative": 1, "zero": 0}
         assert values["classification"] is None
 
+    def test_overflowed_eigenvalue_is_not_zero(self, capsys, tmp_path):
+        # Trace 0, eigenvalues 2e308 (past the float range) and -1e308 twice.
+        form = tmp_path / "huge3.mat"
+        form.write_text("dim 3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n")
+        code, out, err = run(capsys, "signature", str(form))
+        assert (code, err) == (EXIT_OK, "")
+        assert "signature: positive=1  negative=2  zero=0" in out.splitlines()
+
     def test_bad_dimension_is_parse_error(self, capsys, tmp_path):
         form = tmp_path / "bad.mat"
         form.write_text("dim x\n")
@@ -669,6 +677,25 @@ class TestGreechieCommands:
         assert code == EXIT_INFEASIBLE
         assert verdicts(payload)["decomposable"] is False
         assert err == ""
+
+    def test_decompose_solver_give_up_is_undecided(self, capsys, monkeypatch):
+        # A give-up proves neither answer; it once exited 3 with the message on stderr alone.
+        message = "non-negative least squares did not settle in 3n steps"
+
+        def give_up(*args, **kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(greechie, "lp_feasible", give_up)
+        f = FIXTURES / "fig_two_contexts_ignorant.greechie"
+        code, out, err = run(capsys, "greechie", "decompose", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        assert out == (
+            f"# greechie decompose\ninput path: {f}\ninput atoms: 4\ninput blocks: 2\n"
+            f"decomposable: undecided\nexplanation: {message}\n"
+        )
+        code, payload, err = structured(capsys, "greechie", "decompose", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        assert verdicts(payload) == {"decomposable": "undecided", "explanation": message}
 
     def test_decompose_without_probs_is_parse_error(self, capsys, tmp_path):
         f = tmp_path / "bare.greechie"

@@ -27,6 +27,7 @@ from gleason.numerics import (
     SymMatrix,
     eigh,
     quad_coeff_row,
+    rank,
     solve_least_squares,
 )
 from support import (
@@ -399,6 +400,14 @@ class TestSignature:
             v, w = random_unit(rng, 3), random_unit(rng, 3)
             form = SymMatrix(scale * (np.outer(v, v) - 0.5 * np.outer(w, w)))
             assert signature(FrameFunction(form)) == Signature(positive=1, negative=1, zero=1)
+            assert rank(form) == 2
+
+    def test_overflowed_eigenvalue_is_not_zero(self):
+        # Eigenvalues 2e308 (past the float range) and -1e308 twice; the trace is 0. An inf
+        # peak once made the threshold inf, and every eigenvalue read as zero.
+        a = 1e308
+        form = SymMatrix(np.array([[0.0, a, a], [a, 0.0, a], [a, a, 0.0]]))
+        assert signature(FrameFunction(form)) == Signature(positive=1, negative=2, zero=0)
 
 
 class TestClassify:

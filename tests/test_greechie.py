@@ -980,6 +980,27 @@ class TestQuantumFeasibility:
         for atom, vec in realization.vectors.items():
             assert abs(float(vec @ got @ vec) - values[atom]) <= 1e-8
 
+    def test_atoms_near_zero_stay_out_of_the_kernel(self):
+        # rho = e1 e1^T on four contexts of R^3, each the QR of u_c + eps e1, w_c + eps e1 and
+        # e1 (u_c, w_c a rotated basis of the e2-e3 plane): eight atoms read eps^2 ~ 9e-10.
+        # Counted as zeros, their Gram matrix's e1 eigenvalue 8 eps^2 would clear the kernel
+        # step's threshold 4e-9 and give a false "no"; the zero threshold keeps them out.
+        e1, eps = np.eye(3)[0], math.sqrt(9e-10)
+        contexts = []
+        for c in range(4):
+            cos, sin = math.cos(c * math.pi / 4), math.sin(c * math.pi / 4)
+            u, w = np.array([0.0, cos, sin]), np.array([0.0, -sin, cos])
+            contexts.append(np.linalg.qr(np.column_stack([u + eps * e1, w + eps * e1, e1]))[0].T)
+        vectors = np.vstack(contexts)
+        probs = (vectors @ e1) ** 2
+        assert np.count_nonzero((probs > 1e-12) & (probs < 1e-9)) == 8
+        blocks = [(3 * c, 3 * c + 1, 3 * c + 2) for c in range(4)]
+        verdict = quantum_feasibility(*measured(vectors, probs, blocks))
+        assert verdict.status == "yes"
+        got = verdict.density.matrix.entries
+        assert np.max(np.abs(quadratic_values(vectors, got) - probs)) <= 1e-8
+        assert np.max(np.abs(got - np.outer(e1, e1))) <= 1e-10
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_shuffled_keys_give_the_same_bits(self, n):
         # Keys in atom order hand the realization's or the measure's own rows to the checks;

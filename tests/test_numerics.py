@@ -356,6 +356,15 @@ class TestRank:
             with pytest.raises(ValueError):
                 rank(SymMatrix(np.eye(2)), tol)
 
+    def test_threshold_scales_with_the_largest_singular_value(self):
+        # Singular values 1e10 and 1e-6: the second is roundoff-sized at the first's scale.
+        assert rank(np.diag([1e10, 1e-6])) == 1
+        assert rank(np.diag([1e10, 1e2])) == 2
+
+    def test_overflowed_singular_value(self):
+        # Singular values inf (2e308 overflows) and 3.35e291, LAPACK's roundoff for 0.
+        assert rank(np.full((2, 2), 1e308)) == 1
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_input(self, capfd, bad):
         # An inf entry once counted as rank 0; NaN failed inside the SVD.
@@ -630,8 +639,17 @@ class TestOrthonormalize:
         # v v^T overflows here; the Gram matrix of the rescaled rows does not.
         assert np.array_equal(orthonormalize([(1e200, 0.0), (0.0, 1e200)]), np.eye(2))
 
+    def test_rows_near_the_float_limit(self):
+        # Householder norms of these rows overflow (NaN rows once came out, without a
+        # warning); the QR of the exactly rescaled rows gives the 45-degree basis.
+        v = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+        q = orthonormalize(v)
+        assert np.isfinite(q).all()
+        assert np.array_equal(q, orthonormalize(v * 2.0**-1000))
+        assert np.max(np.abs(q - np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))) <= 1e-15
+
     def test_verdict_matches_unscaled_gram_rule(self):
-        # Where v v^T stays finite, the verdict is rank(v, sqrt(scaled_tol(tol, v v^T))) < k.
+        # The verdict is sigma_min <= sqrt(tol) * max(1, sigma_max), from numpy's SVD of v.
         rng = np.random.default_rng(2024)
         verdicts = []
         for _ in range(400):
@@ -642,7 +660,8 @@ class TestOrthonormalize:
                 v[-1] = rng.standard_normal(k - 1) @ v[:-1] + 10.0 ** rng.uniform(-8, -2) * v[-1]
             v *= 10.0 ** rng.uniform(-140, 140)
             tol = float(rng.choice([1e-12, 1e-9, 1e-6]))
-            dependent = rank(v, math.sqrt(scaled_tol(tol, v @ v.T))) < k
+            sigma = np.linalg.svd(v, compute_uv=False)
+            dependent = np.count_nonzero(sigma > math.sqrt(tol) * max(1.0, sigma[0])) < k
             try:
                 orthonormalize(v, tol)
                 raised = False
@@ -684,7 +703,7 @@ class TestOrthonormalize:
 
     def test_dependency_threshold(self):
         # Squared singular values 5e-9 and 4.5e-10 sit on either side of
-        # scaled_tol(1e-9, v v^T) = 1e-9; scaled by 2^20, both move with it.
+        # tol * sigma_max^2 = 2e-9 (sigma_max^2 = 2); scaled by 2^20, both move with it.
         q = orthonormalize([(1.0, 0.0), (1.0, 1e-4)])
         assert np.max(np.abs(q - np.eye(2))) <= 1e-12
         assert np.array_equal(orthonormalize(2.0**20 * np.array([(1.0, 0.0), (1.0, 1e-4)])), q)
