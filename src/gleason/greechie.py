@@ -25,7 +25,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .density import DensityOperator
-from .frame import FrameFunction, signature
 from .numerics import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -348,8 +347,8 @@ def convex_decomposition(
     """Express the state as a convex sum of two-valued states, if possible.
 
     Feasibility of { w >= 0, sum w = 1, sum_s w_s s(atom) = p(atom) } is
-    decided by ``lp_feasible``; None means no decomposition exists, and
-    every entry's weight is above DEFAULT_TOL.
+    decided by ``lp_feasible``; None means no decomposition exists. Each entry's weight
+    is above DEFAULT_TOL / sqrt(k + 1), for k its state's ones: sqrt(k + 1) is its column's norm.
     """
     values = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, values, DEFAULT_TOL), InvalidState)
@@ -528,7 +527,7 @@ def quantum_feasibility(
     if zero.any():
         z = vectors[zero]
         gram = SymMatrix(z.T @ z)
-        kernel_rank = signature(FrameFunction(gram)).positive
+        kernel_rank = rank(gram)
         if kernel_rank == realization.dim:
             certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
             return QuantumFeasibility(False, certificate=certificate)
@@ -538,11 +537,8 @@ def quantum_feasibility(
         basis, points, targets = None, vectors, probs
 
     fit = fit_form(points, targets, trace=1.0)
-    rho = fit.solution
-    if basis is not None:
-        rho = basis @ rho @ basis.T
-        rho = (rho + rho.T) / 2.0
-    missed = _missed_atoms(diagram, vectors, probs, rho)
+    rho = SymMatrix(fit.solution if basis is None else basis @ fit.solution @ basis.T)
+    missed = _missed_atoms(diagram, vectors, probs, rho.entries)
     if abs(rho.trace() - 1.0) > FEASIBILITY_TOL:
         missed.append(("trace", 1.0, float(rho.trace())))
     if missed:  # no symmetric matrix meets the constraints
@@ -550,16 +546,15 @@ def quantum_feasibility(
         return QuantumFeasibility(False, certificate=certificate)
     # A failed candidate refutes every solution only when it is the unique one.
     failed = "undecided" if fit.rank_deficient else "no"
-    spectrum = SymMatrix(rho).spectrum
+    spectrum = rho.spectrum
     min_eigenvalue = float(spectrum.eigenvalues[-1])
     if min_eigenvalue < -FEASIBILITY_TOL:
         certificate = InfeasibilityCertificate("psd", min_eigenvalue=min_eigenvalue)
         return QuantumFeasibility(False, certificate=certificate, status=failed)
     # Scrub roundoff negatives and renormalize before handing out a DensityOperator.
     clamped = np.maximum(spectrum.eigenvalues, 0.0)
-    cleaned = spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T
-    cleaned = (cleaned + cleaned.T) / 2.0
-    cleaned /= cleaned.trace()  # tr is now 1 to a few ulps: only the atoms are rechecked
+    cleaned = SymMatrix(spectrum.eigenvectors @ np.diag(clamped) @ spectrum.eigenvectors.T).entries
+    cleaned = cleaned / cleaned.trace()  # tr is now 1 to a few ulps: only the atoms are rechecked
     missed = _missed_atoms(diagram, vectors, probs, cleaned)
     if missed:
         certificate = InfeasibilityCertificate(

@@ -1,19 +1,19 @@
 """Dense real symmetric linear algebra and feasibility kernels.
 
-Everything here is float64 and sized for desk-scale problems (dimensions up
-to a few dozen). Eigendecomposition, rank, least squares and
-orthonormalization delegate to LAPACK through numpy, and so does LP
-feasibility, decided by non-negative least squares. Least squares takes one
-Householder QR when its R factor is certified to have full column rank
-(||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
-falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum``
-is the one place a matrix is diagonalized, :func:`scaled_tol` the one rule
-for zero at the input's scale (past the float range too; :func:`rank` and
-:func:`orthonormalize` decide through it), :func:`pow2_rescale` the one exact rescaling,
-:func:`unit_rows` the one way rows are normalised, :func:`real_array` the one gate
-that refuses complex input, :func:`fit_form` the one fit of a symmetric form, and
-:func:`quadratic_values` its batch evaluation for checks (``frame.evaluate`` is the API's
-evaluator at one unit point, on the rescaled form); the ``dim n`` text format is here too.
+Everything here is float64 and sized for desk-scale problems (dimensions up to a few
+dozen). Eigendecomposition, rank, least squares and orthonormalization delegate to
+LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares.
+Least squares takes one Householder QR when its R factor is certified to have full
+column rank (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
+falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum`` is
+the one place a matrix is diagonalized (a SymMatrix's :func:`rank` reads it too),
+:func:`scaled_tol` the one rule for zero at the input's scale (past the float range too;
+:func:`rank`, :func:`orthonormalize` and :func:`lp_feasible`'s coefficients decide
+through it), :func:`pow2_rescale` the one exact rescaling, :func:`unit_rows` the one way
+rows are normalised, :func:`real_array` the one gate that refuses complex input,
+:func:`fit_form` the one fit of a symmetric form, and :func:`quadratic_values` its batch
+evaluation for checks (``frame.evaluate`` is the API's evaluator at one unit point, on
+the rescaled form); the ``dim n`` text format is here too.
 """
 
 from __future__ import annotations
@@ -168,15 +168,18 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values strictly above ``scaled_tol(tol, singular values)``.
 
     The threshold is ``tol`` while sigma_max <= 1 and ``tol * sigma_max`` beyond.
-    ``a`` is a SymMatrix (singular values = |eigenvalues|) or a 2-D array;
-    ValueError on non-finite entries, which have no singular values.
+    ``a`` is a SymMatrix, whose singular values are the |eigenvalues| of its kept spectrum,
+    or a 2-D array, whose SVD is taken; ValueError on an array's non-finite entries.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    m = a.entries if isinstance(a, SymMatrix) else np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(m, compute_uv=False)
+    if isinstance(a, SymMatrix):  # finite by construction
+        s = np.abs(a.spectrum.eigenvalues)
+    else:
+        m = np.atleast_2d(np.asarray(a, dtype=float))
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > scaled_tol(tol, s)))
 
 
@@ -276,10 +279,10 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Decide existence of x >= 0 with a @ x = b.
 
     Lawson-Hanson non-negative least squares (Solving Least Squares
-    Problems, 1974, ch. 23), one LAPACK solve per step. Returns a witness
-    with entries exactly 0 or above tol if max |a x - b| <= scaled_tol(tol,
-    b), else None; RuntimeError if 3n steps do not settle. ValueError on
-    non-finite entries, as no finite x can answer them.
+    Problems, 1974, ch. 23), one LAPACK solve per step. With t = scaled_tol(tol, b),
+    returns a witness if max |a x - b| <= t, else None; each witness entry x_j is
+    exactly 0 or its column adds above t (x_j ||a_j|| > t). RuntimeError if 3n steps
+    do not settle. ValueError on non-finite entries, as no finite x can answer them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -293,6 +296,8 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     residual_tol = scaled_tol(tol, b)
     # np.linalg.norm's column norms, without its dispatch
     norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=0)), sys.float_info.min)
+    with np.errstate(over="ignore"):  # inf: no finite coefficient adds the threshold
+        floor = residual_tol / norms  # x_j <= floor_j: column j adds at most residual_tol
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
@@ -304,14 +309,14 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         active[entering] = True
         s = np.zeros(n)
         s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
-        if s[entering] <= tol:  # > 0 in exact arithmetic: roundoff has stalled the search
+        if s[entering] <= floor[entering]:  # > 0 in exact arithmetic: roundoff has stalled it
             break
-        while (low := active & (s <= tol)).any():
-            # x > tol >= s on low columns: step to the first zero, drop it.
+        while (low := active & (s <= floor)).any():
+            # x > floor >= s on low columns: step to the first zero, drop it.
             ratio = x[low] / (x[low] - s[low])
             x += ratio.min() * (s - x)
             active[np.flatnonzero(low)[ratio.argmin()]] = False
-            active &= x > tol
+            active &= x > floor
             s = np.zeros(n)
             s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
         x = s

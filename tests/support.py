@@ -20,7 +20,9 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep. ``reference_is_polytope_vertex`` is the
+library's method calls must keep: the loop's plain twin under the same zero rule,
+not an oracle; ``cycling_lstsq`` drives that loop into its give-up.
+``reference_is_polytope_vertex`` is the
 stacked active-constraint rank test that the support-column test replaces;
 their verdicts must match at tolerances up to 1e-3. ``clamp_miss`` and
 ``trace_miss`` build the seeded inputs that reach ``quantum_feasibility``'s
@@ -52,6 +54,19 @@ from gleason.greechie import (
     Violation,
 )
 from gleason.numerics import DEFAULT_TOL, DimensionMismatch, pow2_rescale, rank, scaled_tol
+
+
+# The paper's two worked frame functions: their forms and closed-form evaluators.
+SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
+TWELFTHS = np.array([[7.0, -3.0, 0.0], [-3.0, 4.0, -1.0], [0.0, -1.0, 1.0]]) / 12.0
+
+
+def sevenths_function(x):
+    return (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0
+
+
+def twelfths_function(x):
+    return (4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2) / 12.0
 
 
 def random_orthonormal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -328,6 +343,8 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         raise ValueError("feasibility system has non-finite entries")
     residual_tol = scaled_tol(tol, b)
     norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        floor = residual_tol / norms  # a coefficient at most this adds at most residual_tol
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
@@ -338,19 +355,34 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         active[entering] = True
         s = np.zeros(n)
         s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
-        if s[entering] <= tol:
+        if s[entering] <= floor[entering]:
             break
-        while np.any(low := active & (s <= tol)):
+        while np.any(low := active & (s <= floor)):
             ratio = x[low] / (x[low] - s[low])
             x += ratio.min() * (s - x)
             active[np.flatnonzero(low)[np.argmin(ratio)]] = False
-            active &= x > tol
+            active &= x > floor
             s = np.zeros(n)
             s[active] = np.linalg.lstsq(a[:, active], b, rcond=None)[0]
         x = s
     else:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
     return x if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol else None
+
+
+def cycling_lstsq():
+    """A stand-in for ``np.linalg.lstsq`` under which NNLS on two columns never settles.
+
+    One active column gets 0.25 and two get (-1, 0.5), then (0.5, -1), in turn: the
+    older column always goes negative and leaves, so the two columns take turns
+    (on ``[[1, 1]] x = [1]`` and on a one-block, two-atom decomposition alike).
+    """
+    pairs = itertools.cycle(([-1.0, 0.5], [0.5, -1.0]))
+
+    def lstsq(a, b, rcond=None):
+        return np.array([0.25] if a.shape[1] == 1 else next(pairs)), None, None, None
+
+    return lstsq
 
 
 def _reference_jsonable(value):

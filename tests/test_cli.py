@@ -30,11 +30,13 @@ from gleason.cli import (
     render_text,
 )
 import cli_digest
-from support import clamp_miss, reference_render_structured, reference_render_text
+from support import clamp_miss, cycling_lstsq, reference_render_structured, reference_render_text
 
 FIXTURES = greechie.FIXTURES
 # rho = psi psi^T, psi = (1, 4, 8) / 9, on two contexts of R^3: realizable, but undecided.
 PSI_UNDECIDED = Path(__file__).with_name("psi_undecided.greechie")
+# Two contexts of R^3 sharing e3 at probability 0: realizable, through a fit on the e1-e2 plane.
+SHARED_RAY = Path(__file__).with_name("shared_ray.greechie")
 BOM = b"\xef\xbb\xbf"
 
 
@@ -697,6 +699,26 @@ class TestGreechieCommands:
         assert (code, err) == (EXIT_UNDECIDED, "")
         assert verdicts(payload) == {"decomposable": "undecided", "explanation": message}
 
+    def test_decompose_solver_cycle_is_undecided(self, capsys, monkeypatch, tmp_path):
+        # One two-atom block gives two LP columns, which cycling_lstsq makes take turns
+        # until lp_feasible itself gives up: its message is the explanation.
+        f = tmp_path / "pair.greechie"
+        f.write_text("atom a\natom b\nblock a b\nprob a 0.5\nprob b 0.5\n")
+        monkeypatch.setattr(np.linalg, "lstsq", cycling_lstsq())
+        code, out, err = run(capsys, "greechie", "decompose", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        assert out.endswith(
+            "decomposable: undecided\n"
+            "explanation: non-negative least squares did not settle in 3n steps\n"
+        )
+        monkeypatch.setattr(np.linalg, "lstsq", cycling_lstsq())
+        code, payload, err = structured(capsys, "greechie", "decompose", str(f))
+        assert (code, err) == (EXIT_UNDECIDED, "")
+        assert verdicts(payload) == {
+            "decomposable": "undecided",
+            "explanation": "non-negative least squares did not settle in 3n steps",
+        }
+
     def test_decompose_without_probs_is_parse_error(self, capsys, tmp_path):
         f = tmp_path / "bare.greechie"
         f.write_text("atom a\natom b\nblock a b\n")
@@ -784,6 +806,17 @@ class TestGreechieCommands:
         assert list(values) == ["realizable", "min_eigenvalue", "explanation"]
         assert values["realizable"] == "undecided"
         assert abs(values["min_eigenvalue"] + 0.0566614) <= 1e-7
+
+    def test_feasibility_reduced_fit(self, capsys):
+        # z at probability 0 forces rho e3 = 0, so rho is fitted on the e1-e2 plane.
+        code, out, err = run(capsys, "greechie", "feasibility", str(SHARED_RAY))
+        assert (code, err) == (EXIT_OK, "")
+        assert "realizable: true\n" in out
+        code, payload, err = structured(capsys, "greechie", "feasibility", str(SHARED_RAY))
+        assert (code, err) == (EXIT_OK, "")
+        values = verdicts(payload)
+        assert values["realizable"] is True
+        assert np.max(np.abs(np.array(values["density"]) - np.diag([0.5, 0.5, 0.0]))) <= 1e-12
 
     def test_feasibility_undecided_after_the_clamp(self, capsys, tmp_path):
         f = clamp_miss_file(tmp_path)

@@ -21,10 +21,15 @@ from gleason.density import (
 )
 from gleason.frame import FrameFunction, evaluate
 from gleason.numerics import DimensionMismatch, SymMatrix
-from support import random_density, random_orthonormal, random_unit, reference_spectral_mixture
+from support import (
+    SEVENTHS,
+    random_density,
+    random_orthonormal,
+    random_unit,
+    reference_spectral_mixture,
+)
 
 SQ2 = math.sqrt(2.0)
-SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
 
 
 class TestStateVector:

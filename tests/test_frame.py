@@ -31,25 +31,19 @@ from gleason.numerics import (
     solve_least_squares,
 )
 from support import (
+    SEVENTHS,
+    TWELFTHS,
     random_density,
     random_orthonormal,
     random_symmetric,
     random_unit,
     reference_reconstruct_form,
+    sevenths_function,
+    twelfths_function,
     well_conditioned_transform,
 )
 
 SQ2 = math.sqrt(2.0)
-SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
-TWELFTHS = np.array([[7.0, -3.0, 0.0], [-3.0, 4.0, -1.0], [0.0, -1.0, 1.0]]) / 12.0
-
-
-def sevenths_function(x):
-    return (3.0 * x[0] ** 2 + 2.0 * (x[1] - x[2]) ** 2) / 7.0
-
-
-def twelfths_function(x):
-    return (4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2) / 12.0
 
 
 class TestEvaluate:

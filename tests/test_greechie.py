@@ -1001,6 +1001,25 @@ class TestQuantumFeasibility:
         assert np.max(np.abs(quadratic_values(vectors, got) - probs)) <= 1e-8
         assert np.max(np.abs(got - np.outer(e1, e1))) <= 1e-10
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+    def test_zeros_in_one_basis_reduce_the_fit(self, n, k):
+        # k vectors of one orthonormal basis at probability 0 force rho v = 0 on them: the
+        # kernel step leaves an (n - k)-dimensional space, and n + 1 random contexts fix
+        # rho there. No end-to-end run reaches this reduced fit.
+        rng = np.random.default_rng(100 * n + k)
+        basis = random_orthonormal(rng, n)
+        weights = rng.random(n - k) + 0.1
+        rho = basis[k:].T @ np.diag(weights / weights.sum()) @ basis[k:]
+        vectors = np.vstack([basis, *(random_orthonormal(rng, n) for _ in range(n + 1))])
+        probs = quadratic_values(vectors, rho)
+        probs[:k] = 0.0
+        blocks = [tuple(range(c * n, (c + 1) * n)) for c in range(n + 2)]
+        verdict = quantum_feasibility(*measured(vectors, probs, blocks))
+        assert verdict.status == "yes"
+        got = verdict.density.matrix.entries
+        assert np.max(np.abs(quadratic_values(vectors, got) - probs)) <= 1e-10
+        assert np.max(np.abs(got @ basis[:k].T)) <= 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_shuffled_keys_give_the_same_bits(self, n):
         # Keys in atom order hand the realization's or the measure's own rows to the checks;

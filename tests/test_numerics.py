@@ -26,7 +26,10 @@ from gleason.numerics import (
     unit_rows,
 )
 from support import (
+    SEVENTHS,
+    TWELFTHS,
     brute_force_lp_feasible,
+    cycling_lstsq,
     highs_lp_feasible,
     pentagon_b_vectors,
     random_orthonormal,
@@ -35,6 +38,7 @@ from support import (
     reference_least_squares,
     reference_lp_feasible,
     reference_unit_row,
+    twelfths_function,
 )
 
 EPS = np.finfo(float).eps
@@ -95,9 +99,6 @@ def least_squares_cases():
     a, b = np.array([[1e-300]]), np.array([1e300])
     cases.append(("solution past the float range", a, b, "lstsq"))
     return cases
-
-
-SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0
 
 
 class TestPow2Rescale:
@@ -361,6 +362,22 @@ class TestRank:
         assert rank(np.diag([1e10, 1e-6])) == 1
         assert rank(np.diag([1e10, 1e2])) == 2
 
+    def test_sym_matrix_reads_its_kept_spectrum(self, monkeypatch):
+        # A SymMatrix's singular values are its |eigenvalues|: no SVD of the entries,
+        # and the same ranks as the SVD of its entries as an array.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("rank ran an SVD")
+
+        rng = np.random.default_rng(33)
+        forms = [SymMatrix(SEVENTHS), SymMatrix(np.diag([1e10, -1e2, 1e-6]))]
+        for n in (2, 4, 6):
+            g = rng.standard_normal((n - 1, n))
+            forms += [SymMatrix(g.T @ g * scale) for scale in (1e-5, 1.0, 1e4)]
+        expected = [rank(form.entries, tol) for form in forms for tol in (1e-9, 1e-3)]
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert [rank(form, tol) for form in forms for tol in (1e-9, 1e-3)] == expected
+        assert expected[:4] == [2, 2, 2, 1]  # |-1e2| counts; 1e-6 is zero at 1e10's scale
+
     def test_overflowed_singular_value(self):
         # Singular values inf (2e308 overflows) and 3.35e291, LAPACK's roundoff for 0.
         assert rank(np.full((2, 2), 1e308)) == 1
@@ -395,21 +412,17 @@ class TestLeastSquares:
     def test_twelfths_six_unknown_system(self):
         # Probing the closed-form function at basis and mixed directions
         # must pin down all six coefficients of the 3x3 symmetric matrix.
-        def f(x):
-            return (4.0 * x[0] ** 2 + 3.0 * (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2) / 12.0
-
         basis = np.eye(3)
         probes = [basis[i] for i in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 probes.append((basis[i] + basis[j]) / math.sqrt(2.0))
         rows = [quad_coeff_row(x) for x in probes]
-        rhs = [f(x) for x in probes]
+        rhs = [twelfths_function(x) for x in probes]
         fit = solve_least_squares(rows, rhs)
-        expected = np.array([[7.0, -3.0, 0.0], [-3.0, 4.0, -1.0], [0.0, -1.0, 1.0]]) / 12.0
         assert not fit.rank_deficient
         assert fit.residual <= 1e-10
-        assert np.max(np.abs(sym_from_packed(fit.solution, 3) - expected)) <= 1e-12
+        assert np.max(np.abs(sym_from_packed(fit.solution, 3) - TWELFTHS)) <= 1e-12
 
     @pytest.mark.parametrize(
         "rows, rhs",
@@ -579,11 +592,43 @@ class TestLpFeasible:
             assert (witness is not None) == highs_lp_feasible(a, b), f"trial {trial}"
             if witness is not None:
                 assert np.max(np.abs(a @ witness - b)) <= 1e-9
-                assert np.all((witness == 0.0) | (witness > 1e-9))
+                # Each nonzero entry's column adds above the residual threshold.
+                nonzero = witness != 0.0
+                added = witness[nonzero] * np.linalg.norm(a, axis=0)[nonzero]
+                assert np.all(added > scaled_tol(1e-9, b))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lp_feasible([[1.0, 2.0]], [1.0, 2.0])
+
+    def test_coefficients_are_judged_by_the_residual_threshold(self):
+        # Every solution's entries are at or below tol = 1e-3, but each column adds
+        # above the threshold 1e-3 = scaled_tol(1e-3, b): a coefficient is zero only
+        # when its column adds at most that, so these feasible systems get witnesses.
+        assert np.array_equal(lp_feasible([[10.0]], [5e-3], 1e-3), [5e-4])
+        x = lp_feasible([[10.0, 1.0], [1.0, 10.0]], [5e-3, 5e-3], 1e-3)
+        assert x is not None
+        assert np.max(np.abs(x - 5e-3 / 11.0)) <= 1e-18
+        # A zero column's floor, 10 / float min, overflows: inf, without a warning.
+        assert np.array_equal(lp_feasible([[0.0, 1.0]], [1e10]), [0.0, 1e10])
+
+    def test_roundoff_stall_answers_none(self, monkeypatch):
+        # An entering coefficient at or below its floor (> 0 in exact arithmetic) stops
+        # the search at the last point, here x = 0, whose residual 1 is too large: None,
+        # with no warning (pytest turns every warning into an error).
+        def stalled(a, b, rcond=None):
+            return np.zeros(a.shape[1]), None, None, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", stalled)
+        assert lp_feasible([[1.0, 1.0]], [1.0]) is None
+
+    def test_gives_up_after_3n_steps(self, monkeypatch):
+        # The two columns take turns entering and leaving, so 3n steps do not settle;
+        # `gleason greechie decompose` prints this message as its explanation (exit 6).
+        monkeypatch.setattr(np.linalg, "lstsq", cycling_lstsq())
+        with pytest.raises(RuntimeError) as raised:
+            lp_feasible([[1.0, 1.0]], [1.0])
+        assert str(raised.value) == "non-negative least squares did not settle in 3n steps"
 
     def test_matches_the_reference_bit_for_bit(self):
         # 0/1 rows and a sum row, as convex_decomposition builds them, with repeated
