@@ -31,11 +31,12 @@ from .numerics import (
     SymMatrix,
     content_lines,
     finite_float,
-    fit_form,
+    fit_operator,
     lp_feasible,
     quadratic_values,
     rank,
     real_array,
+    sym_from_packed,
     unit_rows,
 )
 
@@ -197,12 +198,15 @@ class VectorRealization:
     Construction walks the keys in order and the first failing atom decides; within one:
     conversion to float (its own error; TypeError if complex), non-finite, a dimension other
     than the first's, zero. Keys then become ``str``; ValueError if two name one atom.
+    ``_fits`` keeps ``quantum_feasibility``'s kernel rank, basis and fit operator (read-only)
+    for the latest key (diagram atom order, zero pattern bytes); copies start empty.
     """
 
     vectors: Mapping[str, np.ndarray]
     dim: int = field(init=False)
     _atoms: tuple[str, ...] = field(init=False, repr=False)
     _rows: np.ndarray = field(init=False, repr=False)
+    _fits: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows, dim = [], 0
@@ -229,6 +233,7 @@ class VectorRealization:
         atoms, rows = state
         _keep_keyed(self, "vectors", atoms, rows, rows)
         object.__setattr__(self, "dim", rows.shape[1])
+        object.__setattr__(self, "_fits", {})
 
 
 @dataclass(frozen=True)
@@ -508,8 +513,10 @@ def quantum_feasibility(
     Zero-probability atoms force rho v = 0 (positive semidefiniteness), so
     rho is restricted to the orthogonal complement of their span; when that
     span already fills the space the answer is "no", with the span rank as
-    certificate. Otherwise :func:`~gleason.numerics.fit_form` fits the other
-    constraints plus unit trace, and the candidate is checked against every
+    certificate. Otherwise the least-squares fit of the other constraints plus
+    unit trace is L @ [p, 1], first call or not, for the
+    :func:`~gleason.numerics.fit_operator` L that the realization keeps for the
+    latest atom order and zero pattern. The candidate is checked against every
     constraint (tolerance 1e-8), then for positive semidefiniteness
     (eigenvalue floor -1e-8), then against every atom again once its
     negative eigenvalues are clamped to 0 and its trace is renormalized.
@@ -523,21 +530,18 @@ def quantum_feasibility(
     probs = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
     zero = probs <= _ZERO_PROB_TOL
-
-    if zero.any():
-        z = vectors[zero]
-        gram = SymMatrix(z.T @ z)
-        kernel_rank = rank(gram)
-        if kernel_rank == realization.dim:
-            certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
-            return QuantumFeasibility(False, certificate=certificate)
-        basis = gram.spectrum.eigenvectors[:, kernel_rank:]
-        points, targets = vectors[~zero] @ basis, probs[~zero]
-    else:
-        basis, points, targets = None, vectors, probs
-
-    fit = fit_form(points, targets, trace=1.0)
-    rho = SymMatrix(fit.solution if basis is None else basis @ fit.solution @ basis.T)
+    key, fits = (diagram.atoms, zero.tobytes()), realization._fits
+    if key not in fits:
+        fits.clear()  # the latest pattern alone: distinct patterns keep no more memory
+        fits[key] = _fit(vectors, zero)
+    kernel_rank, *fit = fits[key]
+    if not fit:
+        certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
+        return QuantumFeasibility(False, certificate=certificate)
+    basis, operator, rank_deficient = fit
+    n = realization.dim if basis is None else basis.shape[1]
+    form = sym_from_packed(operator @ np.append(probs[~zero], 1.0), n)
+    rho = SymMatrix(form if basis is None else basis @ form @ basis.T)
     missed = _missed_atoms(diagram, vectors, probs, rho.entries)
     if abs(rho.trace() - 1.0) > FEASIBILITY_TOL:
         missed.append(("trace", 1.0, float(rho.trace())))
@@ -545,7 +549,7 @@ def quantum_feasibility(
         certificate = InfeasibilityCertificate("residual", violations=tuple(missed))
         return QuantumFeasibility(False, certificate=certificate)
     # A failed candidate refutes every solution only when it is the unique one.
-    failed = "undecided" if fit.rank_deficient else "no"
+    failed = "undecided" if rank_deficient else "no"
     spectrum = rho.spectrum
     min_eigenvalue = float(spectrum.eigenvalues[-1])
     if min_eigenvalue < -FEASIBILITY_TOL:
@@ -562,6 +566,19 @@ def quantum_feasibility(
         )
         return QuantumFeasibility(False, certificate=certificate, status=failed)
     return QuantumFeasibility(True, DensityOperator(SymMatrix(cleaned)))
+
+
+def _fit(vectors: np.ndarray, zero: np.ndarray) -> tuple:
+    """(kernel rank,) if the zeros span the space, else (kernel rank, basis, L, rank_deficient)."""
+    if not zero.any():
+        return (0, None, *fit_operator(vectors))
+    z = vectors[zero]
+    gram = SymMatrix(z.T @ z)
+    kernel_rank = rank(gram)
+    if kernel_rank == vectors.shape[1]:
+        return (kernel_rank,)
+    basis = gram.spectrum.eigenvectors[:, kernel_rank:]
+    return (kernel_rank, basis, *fit_operator(vectors[~zero] @ basis))
 
 
 def _missed_atoms(diagram, vectors, probs, candidate) -> list[tuple[str, float, float]]:

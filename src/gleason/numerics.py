@@ -5,13 +5,15 @@ dozen). Eigendecomposition, rank, least squares and orthonormalization delegate 
 LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares.
 Least squares takes one Householder QR when its R factor is certified to have full
 column rank (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
-falls back to the SVD-based ``lstsq`` for every other system. ``SymMatrix.spectrum`` is
-the one place a matrix is diagonalized (a SymMatrix's :func:`rank` reads it too),
+falls back to the SVD-based ``lstsq`` for every other system; both solve for several
+right-hand sides at once. ``SymMatrix.spectrum`` is the one place a matrix is
+diagonalized (a SymMatrix's :func:`rank` reads it too),
 :func:`scaled_tol` the one rule for zero at the input's scale (past the float range too;
 :func:`rank`, :func:`orthonormalize` and :func:`lp_feasible`'s coefficients decide
 through it), :func:`pow2_rescale` the one exact rescaling, :func:`unit_rows` the one way
 rows are normalised, :func:`real_array` the one gate that refuses complex input,
-:func:`fit_form` the one fit of a symmetric form, and :func:`quadratic_values` its batch
+:func:`fit_form` the one-shot fit of a symmetric form (:func:`fit_operator` the same fit
+with unit trace as a linear map of the values, to keep), :func:`quadratic_values` its batch
 evaluation for checks (``frame.evaluate`` is the API's evaluator at one unit point, on
 the rescaled form); the ``dim n`` text format is here too.
 """
@@ -205,23 +207,40 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
     """
     a = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.asarray(rhs, dtype=float).reshape(-1)
-    m, k = a.shape
+    m = a.shape[0]
     if m == 0:
         raise DimensionMismatch("need at least one row")
     if m != b.shape[0]:
         raise DimensionMismatch(f"{m} rows but {b.shape[0]} right-hand sides")
-    ab = np.concatenate((a, b[:, None]), axis=1)
-    if not np.isfinite(ab).all():
-        raise ValueError("least-squares system has non-finite entries")
-    x = _certified_qr_solve(ab) if m >= k >= 1 else None
-    if x is None:
-        x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
-        rank_deficient = int(rk) < k
-    else:
-        rank_deficient = False
+    x, rank_deficient = _least_squares(a, b[:, None])
+    x = x[:, 0]
     r, s = pow2_rescale(a @ x - b)
     residual = math.sqrt(r @ r) * s
     return LeastSquaresSolution(x, residual, rank_deficient)
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """(X, rank_deficient) minimizing ||a X - B|| per column: B = ``b``, m x r, or I if None.
+
+    For B = I, X = R^-1 Q^T from a reduced QR of ``a`` alone, cheaper than a QR of [a | I].
+    """
+    m, k = a.shape
+    if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+        raise ValueError("least-squares system has non-finite entries")
+    x = None
+    if m >= k >= 1 and b is None:
+        q, r = np.linalg.qr(a)
+        x = _certified_qr_solve(r, np.empty((k, 0)), m)
+        x = None if x is None else x @ q.T
+    elif m >= k >= 1:
+        # LAPACK's geqrf output, transposed: row j holds column j of [R | Q^T b] up to
+        # the diagonal, then the Householder vectors, which the mask zeroes.
+        h = np.linalg.qr(np.concatenate((a, b), axis=1), mode="raw")[0]
+        x = _certified_qr_solve(h[:k, :k].T, h[k:, :k].T, m)
+    if x is None:
+        x, _, rk, _ = np.linalg.lstsq(a, np.eye(m) if b is None else b, rcond=None)
+        return x, int(rk) < k
+    return x, False
 
 
 @cache
@@ -235,22 +254,21 @@ def _upper_ones(k: int) -> np.ndarray:
     return mask
 
 
-def _certified_qr_solve(ab: np.ndarray) -> np.ndarray | None:
-    """x = R^-1 Q^T b from one Householder QR of ab = [a | b], or None unless R is certified.
+def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | None:
+    """X = R^-1 Q^T B from an m-row Householder QR, or None unless R is certified.
 
-    Householder QR least squares is backward stable for full-rank problems
-    (Golub & Van Loan, Matrix Computations, sec. 5.3). The certificate is
+    ``r`` holds R on and above its diagonal (the mask drops what lies below), ``qtb`` is
+    Q^T B, k x r, and X is k x r, one solution per column of B, or R^-1 itself for r = 0.
+    Householder QR least squares is backward stable for full-rank problems (Golub & Van
+    Loan, Matrix Computations, sec. 5.3). The certificate is
     kappa_F = ||R||_F ||R^-1||_F <= 1e-3 / (eps max(m, k)), taken on R after
     :func:`pow2_rescale` so that no square overflows or underflows. Since
     sigma_max / sigma_min <= kappa_F, it gives sigma_min > 1e3 rcond sigma_max
     for gelsd's rcond = eps max(m, k): ``lstsq`` would find full rank too.
-    One LAPACK solve of the scaled R gives both R^-1 Q^T b and R^-1.
+    One LAPACK solve of the scaled R for [Q^T B | I] gives both R^-1 Q^T B and R^-1.
     """
-    m, k = ab.shape[0], ab.shape[1] - 1
-    # LAPACK's geqrf output, transposed: row j holds column j of [R | Q^T b] up to
-    # the diagonal, then the Householder vectors, which the mask zeroes.
-    h = np.linalg.qr(ab, mode="raw")[0]
-    scaled, s = pow2_rescale(h[:k, :k].T * _upper_ones(k))
+    k, width = qtb.shape
+    scaled, s = pow2_rescale(r * _upper_ones(k))
     # ||R_s||_F >= max |r_ii| and ||R_s^-1||_F >= max 1 / |r_ii|, the diagonal of the
     # triangular inverse, so kappa_F >= high * (1 / low): rounded alike, this rejects
     # only what the kappa test below would, and exactly singular R before the solve.
@@ -258,16 +276,16 @@ def _certified_qr_solve(ab: np.ndarray) -> np.ndarray | None:
     low, high = min(diagonal), max(diagonal)
     if not (low > 0.0 and high * (1.0 / low) * sys.float_info.epsilon * max(m, k) <= 1e-3):
         return None
-    rhs = np.eye(k, k + 1, 1)
-    rhs[:, 0] = h[k, :k]
+    rhs = np.eye(k, k + width, width)
+    rhs[:, :width] = qtb
     solved = np.linalg.solve(scaled, rhs)
     # A certified R_s^-1 has entries below 1e-3 / eps, so its squares stay in range;
     # past 1e154 they overflow to inf (vdot is no ufunc and does not warn), which fails.
-    inverse = solved[:, 1:]
+    inverse = solved[:, width:]
     kappa = math.sqrt(np.vdot(scaled, scaled)) * math.sqrt(np.vdot(inverse, inverse))
     if not kappa * sys.float_info.epsilon * max(m, k) <= 1e-3:
         return None
-    x = solved[:, 0]  # s x
+    x = solved[:, :width] if width else inverse  # s X
     # s is a power of 2, so x / s only shifts exponents; it overflows (with a
     # warning) only where x itself is past the float range, and lstsq decides those.
     if not np.abs(x).max() < sys.float_info.max * min(s, 1.0):
@@ -378,20 +396,34 @@ def quad_coeff_row(x) -> np.ndarray:
     return row
 
 
-def fit_form(points, values, trace: float | None = None) -> LeastSquaresSolution:
+def fit_form(points, values) -> LeastSquaresSolution:
     """Least-squares symmetric A with x^T A x = value on each row of the k x n ``points``.
 
-    With ``trace``, tr A = trace is one more row. ``solution`` is A itself, n x n. A row
-    that overflows is inf, which :func:`solve_least_squares` refuses with ValueError.
+    ``solution`` is A itself, n x n. A row that overflows is inf, which
+    :func:`solve_least_squares` refuses with ValueError.
+    """
+    fit = solve_least_squares(_form_rows(points), values)
+    n = np.shape(points)[1]
+    return LeastSquaresSolution(sym_from_packed(fit.solution, n), fit.residual, fit.rank_deficient)
+
+
+def fit_operator(points) -> tuple[np.ndarray, bool]:
+    """Read-only L and ``rank_deficient`` of the fit of x^T A x = value and tr A = trace.
+
+    The rows are :func:`fit_form`'s, then tr A; ``L @ [values, trace]`` is the packed
+    least-squares A to roundoff: L is the solution for B = I, by the same solve.
     """
     n = np.shape(points)[1]
+    rows = np.concatenate((_form_rows(points), np.equal(*packed_index(n))[None]))
+    operator, rank_deficient = _least_squares(rows, None)
+    operator.flags.writeable = False
+    return operator, rank_deficient
+
+
+def _form_rows(points) -> np.ndarray:
+    """``quad_coeff_row`` of each point; a row that overflows is inf, without a warning."""
     with np.errstate(over="ignore"):  # the solve stays outside, so its overflows still warn
-        rows = quad_coeff_row(points)
-    if trace is not None:
-        rows = np.concatenate((rows, np.equal(*packed_index(n))[None]))  # 1 on the diagonal
-        values = np.concatenate((values, (trace,)))
-    fit = solve_least_squares(rows, values)
-    return LeastSquaresSolution(sym_from_packed(fit.solution, n), fit.residual, fit.rank_deficient)
+        return quad_coeff_row(points)
 
 
 def quadratic_values(points, a) -> np.ndarray:

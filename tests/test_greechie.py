@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,13 @@ from gleason.greechie import (
     quantum_feasibility,
     validate_state,
 )
-from gleason.numerics import DEFAULT_TOL, DimensionMismatch, fit_form, quadratic_values
+from gleason.numerics import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    fit_operator,
+    quadratic_values,
+    sym_from_packed,
+)
 from support import (
     brute_force_two_valued,
     clamp_miss,
@@ -1139,7 +1146,7 @@ class TestFeasibilityStatus:
         diagram, realization, measure = measured(PSI_VECTORS, PSI_PROBS, [(0, 1, 2), (3, 4, 5)])
         psi = np.array([1.0, 4.0, 8.0]) / 9.0
         assert np.max(np.abs((PSI_VECTORS @ psi) ** 2 - PSI_PROBS)) <= 1e-15
-        assert fit_form(PSI_VECTORS, np.array(PSI_PROBS), trace=1.0).rank_deficient
+        assert fit_operator(PSI_VECTORS)[1]
         verdict = quantum_feasibility(diagram, realization, measure)
         assert (verdict.status, verdict.realizable, verdict.density) == ("undecided", False, None)
         assert verdict.certificate.kind == "psd"
@@ -1148,7 +1155,7 @@ class TestFeasibilityStatus:
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_trace_miss_is_no_at_any_rank(self, rank_deficient):
         vectors, probs, blocks = trace_miss(rank_deficient)
-        assert fit_form(vectors, np.array(probs), trace=1.0).rank_deficient == rank_deficient
+        assert fit_operator(vectors)[1] == rank_deficient
         verdict = quantum_feasibility(*measured(vectors, probs, blocks))
         assert (verdict.status, verdict.certificate.kind) == ("no", "residual")
         assert verdict.certificate.min_eigenvalue is None
@@ -1158,9 +1165,10 @@ class TestFeasibilityStatus:
     @pytest.mark.parametrize("dim, status", [(2, "no"), (3, "undecided")])
     def test_clamped_candidate_missing_a_constraint(self, dim, status):
         vectors, probs, blocks = clamp_miss(dim)
-        fit = fit_form(vectors, probs, trace=1.0)
-        assert fit.rank_deficient == (dim == 3)
-        assert np.max(np.abs(quadratic_values(vectors, fit.solution) - probs)) <= 1e-8
+        operator, rank_deficient = fit_operator(vectors)
+        assert rank_deficient == (dim == 3)
+        fit = sym_from_packed(operator @ np.append(probs, 1.0), dim)
+        assert np.max(np.abs(quadratic_values(vectors, fit) - probs)) <= 1e-8
         verdict = quantum_feasibility(*measured(vectors, probs, blocks))
         assert (verdict.status, verdict.certificate.kind) == (status, "residual")
         assert -1e-8 <= verdict.certificate.min_eigenvalue < 0.0
@@ -1191,6 +1199,114 @@ class TestFeasibilityStatus:
                 assert np.max(np.abs(np.einsum("ki,ij,kj->k", rows, got, rows) - probs)) <= 1e-8
         assert "no" not in statuses
         assert {"yes", "undecided"} == set(statuses)
+
+
+def kept_fit_draws(rng):
+    """(diagram, rays, measures) on random contexts, each measure one zero pattern's kind.
+
+    Four contexts at n = 3 determine rho; two at n = 3 give 7 x 6 rows of rank 5, and two
+    at n = 4 give 9 x 10, wide. Per draw: full-rank states (no zeros), states off the first
+    ray and states on the last ray of context 0 (reduced by the kernel step), the state
+    with 1 on each context's first ray (its zeros span the space: kernel rank) and random
+    per-context simplex values.
+    """
+    for n, count in ((3, 4), (3, 2), (4, 2)):
+        bases = [random_orthonormal(rng, n) for _ in range(count)]
+        rays = np.vstack(bases)
+        atoms = tuple(f"c{c}.{i}" for c in range(count) for i in range(n))
+        diagram = GreechieDiagram(atoms, tuple(atoms[c * n:(c + 1) * n] for c in range(count)))
+        states = []
+        for support in (bases[0], bases[0][1:], bases[0][-1:]):
+            for _ in range(3):
+                rotated = random_orthonormal(rng, len(support)) @ support
+                weights = rng.random(len(support)) + 0.01
+                states.append(rotated.T @ np.diag(weights / weights.sum()) @ rotated)
+        values = [np.einsum("ki,ij,kj->k", rays, rho, rays) for rho in states]
+        values.append(np.tile(np.eye(n)[0], count))
+        values += [rng.dirichlet(np.ones(n), count).reshape(-1) for _ in range(3)]
+        measures = [ProbabilityAssignment(dict(zip(atoms, v.tolist()))) for v in values]
+        yield diagram, rays, measures
+
+
+def decided(verdict):
+    """Status, certificate and density, to the bit: ``repr`` round-trips every float."""
+    density = verdict.density.matrix.entries.tobytes() if verdict.density else None
+    return verdict.status, repr(verdict.certificate), density
+
+
+class TestKeptFits:
+    """The fit operator kept for the latest atom order and zero pattern answers as a fresh one."""
+
+    def test_verdicts_do_not_depend_on_call_history(self, monkeypatch):
+        built = []
+        fit_operator = greechie.fit_operator
+        monkeypatch.setattr(greechie, "fit_operator", lambda p: built.append(p) or fit_operator(p))
+        rng = np.random.default_rng(34)
+        statuses, kinds = set(), set()
+        for diagram, rays, measures in kept_fit_draws(rng):
+            realization = lambda: VectorRealization(dict(zip(diagram.atoms, rays)))
+            verdicts = [quantum_feasibility(diagram, realization(), m) for m in measures]
+            fresh = list(map(decided, verdicts))
+            warm = realization()
+            for k in [*reversed(range(len(measures))), *rng.permutation(len(measures))]:
+                assert decided(quantum_feasibility(diagram, warm, measures[k])) == fresh[k]
+                assert len(warm._fits) == 1
+            # The same pattern again builds nothing; the kernel-rank entry holds its rank alone.
+            for m in measures:
+                built.clear()
+                quantum_feasibility(diagram, warm, m)
+                first = len(built)
+                quantum_feasibility(diagram, warm, m)
+                (entry,) = warm._fits.values()
+                assert len(built) == first <= (len(entry) > 1)
+                for kept in entry[1:3]:
+                    assert kept is None or not kept.flags.writeable
+            assert [len(entry) for entry in warm._fits.values()] == [4]  # the last: no zeros
+            for copied in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
+                assert copied._fits == {}
+                assert [decided(quantum_feasibility(diagram, copied, m)) for m in measures] == fresh
+            # Another atom order is another key, with its own operator: the status holds.
+            reordered = GreechieDiagram(diagram.atoms[::-1], diagram.blocks)
+            for m, want in zip(measures, fresh):
+                assert quantum_feasibility(reordered, warm, m).status == want[0]
+                assert [key[0] for key in warm._fits] == [reordered.atoms]
+            statuses |= {v.status for v in verdicts}
+            kinds |= {v.certificate.kind for v in verdicts if v.certificate}
+        assert statuses == {"yes", "no", "undecided"}
+        assert kinds == {"kernel-rank", "residual", "psd"}
+
+    def test_distinct_zero_patterns_keep_one_entry(self):
+        # 60 measures on one realization in R^6, each with another proper subset of the
+        # first context at 0: afterwards the realization holds one kept fit, not 60.
+        rng = np.random.default_rng(35)
+        n, count = 6, 7
+        rays = np.vstack([random_orthonormal(rng, n) for _ in range(count)])
+        atoms = tuple(f"a{k}" for k in range(len(rays)))
+        diagram = GreechieDiagram(atoms, tuple(atoms[c * n:(c + 1) * n] for c in range(count)))
+        realization = VectorRealization(dict(zip(atoms, rays)))
+        measures = []
+        subsets = (z for size in range(1, n) for z in itertools.combinations(range(n), size))
+        for zeros in itertools.islice(subsets, 60):
+            values = rng.dirichlet(np.ones(n), count)
+            values[0, list(zeros)] = 0.0
+            values[0] /= values[0].sum()
+            measures.append(ProbabilityAssignment(dict(zip(atoms, values.reshape(-1).tolist()))))
+        for m in measures:  # fill the module-level caches (packed indices, masks) first
+            quantum_feasibility(diagram, VectorRealization(realization.vectors), m)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in measures:
+                quantum_feasibility(diagram, realization, m)
+                assert len(realization._fits) == 1
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # One kept fit here is at most 6 KB, and it reads about 15 KB with numpy's churn;
+        # all 60 fits kept read about 200 KB.
+        assert held < 65536
 
 
 def relabelled(rng, diagram):

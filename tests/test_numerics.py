@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gleason.numerics import (
+    _least_squares,
     _pow2_floor,
     DimensionMismatch,
     LinearlyDependent,
@@ -11,6 +12,7 @@ from gleason.numerics import (
     SymMatrix,
     eigh,
     fit_form,
+    fit_operator,
     format_matrix_text,
     lp_feasible,
     orthonormalize,
@@ -57,6 +59,13 @@ def graded_system(rng, m, k, kappa_f):
         low, high = (mid, high) if kappa_of(mid)[0] < kappa_f else (low, mid)
     u = np.linalg.qr(rng.standard_normal((m, k)))[0]
     return (u * kappa_of(low)[1]) @ random_orthonormal(rng, k)
+
+
+def kappa(a):
+    """sigma_max / sigma_min over the singular values gelsd keeps (1 for no unknowns)."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    kept = sigma[sigma > EPS * max(a.shape) * sigma.max(initial=0.0)]
+    return kept[0] / kept[-1] if kept.size else 1.0
 
 
 def least_squares_cases():
@@ -478,6 +487,27 @@ class TestLeastSquares:
             lift = 2.0**500 if np.abs(r).max(initial=0.0) < 1e-140 else 1.0
             assert fit.residual == float(np.linalg.norm(r * lift)) / lift, label
 
+    def test_operator_is_the_single_solve_as_one_map(self, monkeypatch):
+        # L, the solution for B = I from a reduced QR, takes the path (QR or lstsq) and
+        # the rank of the one-column solve, and L @ b is its solution to roundoff.
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        for label, a, b, path in least_squares_cases():
+            if label == "solution past the float range":  # L @ b overflows where x does
+                continue
+            calls.clear()
+            operator, rank_deficient = _least_squares(a, None)
+            assert ("lstsq" if calls else "qr") == path, label
+            fit = solve_least_squares(a, b)
+            assert rank_deficient == fit.rank_deficient, label
+            x = fit.solution
+            assert np.linalg.norm(operator @ b - x) <= 1e-12 * kappa(a) * np.linalg.norm(x), label
+
     def test_rank_deficient_tall_systems_skip_the_solve(self, monkeypatch):
         # R's diagonal alone refuses them (kappa_F >= max|r_ii| / min|r_ii|), before
         # the k x (k + 1) solve; an exactly zero diagonal, too, without a LinAlgError.
@@ -496,6 +526,7 @@ class TestLeastSquares:
             fit = solve_least_squares(a, b)
             assert fit.rank_deficient
             assert fit.solution.tobytes() == reference_least_squares(a, b)[0].tobytes()
+            assert _least_squares(a, None)[1]  # the operator for B = I too
         assert calls == []
         solve_least_squares(np.eye(3), np.ones(3))
         assert len(calls) == 1
@@ -812,19 +843,24 @@ class TestPackedQuadratic:
 
     @pytest.mark.parametrize("trace", [None, 1.0])
     def test_fit_form_is_the_packed_least_squares_fit(self, trace):
-        # Bit for bit the rows, optional trace row and unpacking written out by hand.
+        # Bit for bit the rows and unpacking written out by hand; with the trace row,
+        # fit_operator is the solve for B = I on those rows.
         rng = np.random.default_rng(13)
         for n, k in ((2, 4), (3, 6), (3, 12), (4, 20)):
             points = unit_rows(rng.standard_normal((k, n)))
             values = rng.uniform(0.0, 1.0, k)
-            rows, rhs = quad_coeff_row(points), values
-            if trace is not None:
-                rows = np.vstack([rows, np.equal(*packed_index(n))])
-                rhs = np.append(values, trace)
-            want = solve_least_squares(rows, rhs)
-            got = fit_form(points, values, trace)
-            assert got.solution.tobytes() == sym_from_packed(want.solution, n).tobytes()
-            assert (got.residual, got.rank_deficient) == (want.residual, want.rank_deficient)
+            rows = quad_coeff_row(points)
+            if trace is None:
+                want = solve_least_squares(rows, values)
+                got = fit_form(points, values)
+                assert got.solution.tobytes() == sym_from_packed(want.solution, n).tobytes()
+                assert (got.residual, got.rank_deficient) == (want.residual, want.rank_deficient)
+            else:
+                operator, rank_deficient = _least_squares(
+                    np.vstack([rows, np.equal(*packed_index(n))]), None
+                )
+                got = fit_operator(points)
+                assert (got[0].tobytes(), got[1]) == (operator.tobytes(), rank_deficient)
 
     def test_fit_form_recovers_a_form_and_reports_rank(self):
         rng = np.random.default_rng(14)
@@ -835,12 +871,35 @@ class TestPackedQuadratic:
         assert fit.residual <= 1e-12 and not fit.rank_deficient
         # Two orthonormal bases and the trace: 7 rows of rank 5 for 6 unknowns.
         bases = np.vstack([random_orthonormal(rng, 3), random_orthonormal(rng, 3)])
-        assert fit_form(bases, np.full(6, 1.0 / 3.0), trace=1.0).rank_deficient
+        assert fit_operator(bases)[1]
 
     def test_fit_form_refuses_an_overflowing_row_without_a_warning(self):
         # The rows are built under errstate(over="ignore"); the solve then refuses the inf.
+        points = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite entries"):
-            fit_form(np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
+            fit_form(points, np.ones(3))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            fit_operator(points)
+
+    def test_fit_operator_is_the_trace_fit_as_one_map(self):
+        # Determined, 7 x 6 of rank 5, wide (9 x 10, 13 x 21) and kernel-reduced point
+        # sets: L @ [v, 1] is the least-squares fit of the rows plus the trace row, to roundoff.
+        rng = np.random.default_rng(34)
+        sets = [np.vstack([random_orthonormal(rng, n) for _ in range(count)])
+                for n, count in ((3, 4), (4, 5), (6, 7), (3, 2), (4, 2), (6, 2))]
+        sets.append(sets[2] @ random_orthonormal(rng, 6)[:4].T)  # rays on a 4-space
+        for points in sets:
+            n = points.shape[1]
+            operator, rank_deficient = fit_operator(points)
+            assert not operator.flags.writeable
+            rows = np.vstack([quad_coeff_row(points), np.equal(*packed_index(n))])
+            assert rank_deficient == (np.linalg.matrix_rank(rows) < rows.shape[1])
+            for _ in range(3):
+                rhs = np.append(rng.uniform(0.0, 1.0, len(points)), 1.0)
+                fit = solve_least_squares(rows, rhs)
+                assert fit.rank_deficient == rank_deficient
+                bound = 1e-12 * kappa(rows) * np.linalg.norm(fit.solution)
+                assert np.linalg.norm(operator @ rhs - fit.solution) <= bound
 
     def test_shared_index_is_read_only(self):
         rows, cols = packed_index(3)
