@@ -3,10 +3,10 @@
 Everything here is float64 and sized for desk-scale problems (dimensions up to a few
 dozen). Eigendecomposition, rank, least squares and orthonormalization delegate to
 LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares.
-Least squares takes one Householder QR when its R factor is certified to have full
-column rank (||R||_F ||R^-1||_F small enough that the SVD would find full rank too), and
-falls back to the SVD-based ``lstsq`` for every other system; both solve for several
-right-hand sides at once. ``SymMatrix.spectrum`` is the one place a matrix is
+Least squares solves A X = B, for one right-hand side or several, from one Householder
+QR of [A | B] when its R factor is certified to have full column rank (||R||_F ||R^-1||_F
+small enough that the SVD would find full rank too), and with the SVD-based ``lstsq``
+for every other system. ``SymMatrix.spectrum`` is the one place a matrix is
 diagonalized (a SymMatrix's :func:`rank` reads it too),
 :func:`scaled_tol` the one rule for zero at the input's scale (past the float range too;
 :func:`rank`, :func:`orthonormalize` and :func:`lp_feasible`'s coefficients decide
@@ -219,26 +219,23 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
     return LeastSquaresSolution(x, residual, rank_deficient)
 
 
-def _least_squares(a: np.ndarray, b: np.ndarray | None) -> tuple[np.ndarray, bool]:
-    """(X, rank_deficient) minimizing ||a X - B|| per column: B = ``b``, m x r, or I if None.
+def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(X, rank_deficient) minimizing ||a X - b|| per column of the m x r ``b``.
 
-    For B = I, X = R^-1 Q^T from a reduced QR of ``a`` alone, cheaper than a QR of [a | I].
+    A tall system (m >= k >= 1) takes one Householder QR of [a | b]; X comes from it when
+    :func:`_certified_qr_solve` certifies R, and from ``np.linalg.lstsq`` otherwise.
     """
     m, k = a.shape
-    if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("least-squares system has non-finite entries")
     x = None
-    if m >= k >= 1 and b is None:
-        q, r = np.linalg.qr(a)
-        x = _certified_qr_solve(r, np.empty((k, 0)), m)
-        x = None if x is None else x @ q.T
-    elif m >= k >= 1:
+    if m >= k >= 1:
         # LAPACK's geqrf output, transposed: row j holds column j of [R | Q^T b] up to
         # the diagonal, then the Householder vectors, which the mask zeroes.
         h = np.linalg.qr(np.concatenate((a, b), axis=1), mode="raw")[0]
         x = _certified_qr_solve(h[:k, :k].T, h[k:, :k].T, m)
     if x is None:
-        x, _, rk, _ = np.linalg.lstsq(a, np.eye(m) if b is None else b, rcond=None)
+        x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
         return x, int(rk) < k
     return x, False
 
@@ -258,7 +255,7 @@ def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | 
     """X = R^-1 Q^T B from an m-row Householder QR, or None unless R is certified.
 
     ``r`` holds R on and above its diagonal (the mask drops what lies below), ``qtb`` is
-    Q^T B, k x r, and X is k x r, one solution per column of B, or R^-1 itself for r = 0.
+    the top k rows of Q^T B, k x r, and X is k x r, one solution per column of B.
     Householder QR least squares is backward stable for full-rank problems (Golub & Van
     Loan, Matrix Computations, sec. 5.3). The certificate is
     kappa_F = ||R||_F ||R^-1||_F <= 1e-3 / (eps max(m, k)), taken on R after
@@ -285,7 +282,7 @@ def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | 
     kappa = math.sqrt(np.vdot(scaled, scaled)) * math.sqrt(np.vdot(inverse, inverse))
     if not kappa * sys.float_info.epsilon * max(m, k) <= 1e-3:
         return None
-    x = solved[:, :width] if width else inverse  # s X
+    x = solved[:, :width]  # s X
     # s is a power of 2, so x / s only shifts exponents; it overflows (with a
     # warning) only where x itself is past the float range, and lstsq decides those.
     if not np.abs(x).max() < sys.float_info.max * min(s, 1.0):
@@ -410,12 +407,13 @@ def fit_form(points, values) -> LeastSquaresSolution:
 def fit_operator(points) -> tuple[np.ndarray, bool]:
     """Read-only L and ``rank_deficient`` of the fit of x^T A x = value and tr A = trace.
 
-    The rows are :func:`fit_form`'s, then tr A; ``L @ [values, trace]`` is the packed
-    least-squares A to roundoff: L is the solution for B = I, by the same solve.
+    The rows are :func:`fit_form`'s, then tr A; L is the solution for B = I, by the same
+    solve as :func:`solve_least_squares` (the QR of [rows | I], or ``lstsq``), so
+    ``L @ [values, trace]`` is the packed least-squares A to roundoff.
     """
     n = np.shape(points)[1]
     rows = np.concatenate((_form_rows(points), np.equal(*packed_index(n))[None]))
-    operator, rank_deficient = _least_squares(rows, None)
+    operator, rank_deficient = _least_squares(rows, np.eye(len(rows)))
     operator.flags.writeable = False
     return operator, rank_deficient
 

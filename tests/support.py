@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,9 @@ from gleason.greechie import (
 )
 from gleason.numerics import DEFAULT_TOL, DimensionMismatch, pow2_rescale, rank, scaled_tol
 
+
+# The Kochen-Specker set of 18 rays in R^4 that perfbench also runs.
+KS18_TEXT = (Path(__file__).resolve().parents[1] / "perfbench" / "ks18.greechie").read_text()
 
 # The paper's two worked frame functions: their forms and closed-form evaluators.
 SEVENTHS = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) / 7.0

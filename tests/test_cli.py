@@ -818,6 +818,15 @@ class TestGreechieCommands:
         assert values["realizable"] is True
         assert np.max(np.abs(np.array(values["density"]) - np.diag([0.5, 0.5, 0.0]))) <= 1e-12
 
+    def test_feasibility_ks18_is_the_maximally_mixed_state(self, capsys):
+        # Nine contexts of R^4 fix rho, and the uniform 1/4 measure gives I/4. The text
+        # snapshot leaves this report out, as its off-diagonal entries carry roundoff.
+        code, payload, err = structured(capsys, "greechie", "feasibility", str(KS18))
+        assert (code, err) == (EXIT_OK, "")
+        values = verdicts(payload)
+        assert values["realizable"] is True
+        assert np.max(np.abs(np.array(values["density"]) - np.eye(4) / 4.0)) <= 1e-14
+
     def test_feasibility_undecided_after_the_clamp(self, capsys, tmp_path):
         f = clamp_miss_file(tmp_path)
         code, payload, err = structured(capsys, "greechie", "feasibility", str(f))

@@ -4,7 +4,6 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from gleason.numerics import (
     sym_from_packed,
 )
 from support import (
+    KS18_TEXT,
     brute_force_two_valued,
     clamp_miss,
     highs_lp_feasible,
@@ -237,9 +237,6 @@ class TestKeyedInputs:
                 assert (got.shape, got.dtype) == (want.shape, want.dtype)
                 assert got.tobytes() == want.tobytes()
                 assert (got is keyed._rows) == (keyed._atoms == atoms)
-
-
-KS18_TEXT = (Path(__file__).resolve().parents[1] / "perfbench" / "ks18.greechie").read_text()
 
 
 class TestPickling:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gleason.greechie import parse_greechie_text
 from gleason.numerics import (
     _least_squares,
     _pow2_floor,
@@ -28,6 +29,7 @@ from gleason.numerics import (
     unit_rows,
 )
 from support import (
+    KS18_TEXT,
     SEVENTHS,
     TWELFTHS,
     brute_force_lp_feasible,
@@ -488,8 +490,8 @@ class TestLeastSquares:
             assert fit.residual == float(np.linalg.norm(r * lift)) / lift, label
 
     def test_operator_is_the_single_solve_as_one_map(self, monkeypatch):
-        # L, the solution for B = I from a reduced QR, takes the path (QR or lstsq) and
-        # the rank of the one-column solve, and L @ b is its solution to roundoff.
+        # L, the solution for B = I by the same solve (the QR of [a | I], or lstsq), takes
+        # the path and the rank of the one-column solve, and L @ b is its solution to roundoff.
         lstsq, calls = np.linalg.lstsq, []
 
         def counted(*args, **kwargs):
@@ -501,12 +503,43 @@ class TestLeastSquares:
             if label == "solution past the float range":  # L @ b overflows where x does
                 continue
             calls.clear()
-            operator, rank_deficient = _least_squares(a, None)
+            operator, rank_deficient = _least_squares(a, np.eye(len(a)))
             assert ("lstsq" if calls else "qr") == path, label
             fit = solve_least_squares(a, b)
             assert rank_deficient == fit.rank_deficient, label
             x = fit.solution
             assert np.linalg.norm(operator @ b - x) <= 1e-12 * kappa(a) * np.linalg.norm(x), label
+
+    def test_certified_systems_take_one_raw_qr(self, monkeypatch):
+        # One Householder QR of [a | B] and no other QR call per certified system: a
+        # single right-hand side, and B = I for fit_operator on determined point sets,
+        # n + 1 random contexts of R^n for n = 2..8 and KS-18's 18 rays in R^4.
+        systems = [(label, a, b) for label, a, b, path in least_squares_cases() if path == "qr"]
+        rng = np.random.default_rng(35)
+        point_sets = [np.vstack([random_orthonormal(rng, n) for _ in range(n + 1)])
+                      for n in range(2, 9)]
+        ks18 = parse_greechie_text(KS18_TEXT).realization
+        point_sets.append(np.array(list(ks18.vectors.values())))
+        qr, lstsq, modes = np.linalg.qr, np.linalg.lstsq, []
+
+        def recorded_qr(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        def recorded_lstsq(*args, **kwargs):
+            modes.append("lstsq")
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+        monkeypatch.setattr(np.linalg, "lstsq", recorded_lstsq)
+        for label, a, b in systems:
+            modes.clear()
+            solve_least_squares(a, b)
+            assert modes == ["raw"], label
+        for points in point_sets:
+            modes.clear()
+            assert not fit_operator(points)[1]
+            assert modes == ["raw"], points.shape
 
     def test_rank_deficient_tall_systems_skip_the_solve(self, monkeypatch):
         # R's diagonal alone refuses them (kappa_F >= max|r_ii| / min|r_ii|), before
@@ -526,7 +559,7 @@ class TestLeastSquares:
             fit = solve_least_squares(a, b)
             assert fit.rank_deficient
             assert fit.solution.tobytes() == reference_least_squares(a, b)[0].tobytes()
-            assert _least_squares(a, None)[1]  # the operator for B = I too
+            assert _least_squares(a, np.eye(len(a)))[1]  # the operator for B = I too
         assert calls == []
         solve_least_squares(np.eye(3), np.ones(3))
         assert len(calls) == 1
@@ -844,7 +877,7 @@ class TestPackedQuadratic:
     @pytest.mark.parametrize("trace", [None, 1.0])
     def test_fit_form_is_the_packed_least_squares_fit(self, trace):
         # Bit for bit the rows and unpacking written out by hand; with the trace row,
-        # fit_operator is the solve for B = I on those rows.
+        # fit_operator is the solve for an explicit B = I on those rows.
         rng = np.random.default_rng(13)
         for n, k in ((2, 4), (3, 6), (3, 12), (4, 20)):
             points = unit_rows(rng.standard_normal((k, n)))
@@ -856,9 +889,8 @@ class TestPackedQuadratic:
                 assert got.solution.tobytes() == sym_from_packed(want.solution, n).tobytes()
                 assert (got.residual, got.rank_deficient) == (want.residual, want.rank_deficient)
             else:
-                operator, rank_deficient = _least_squares(
-                    np.vstack([rows, np.equal(*packed_index(n))]), None
-                )
+                rows = np.vstack([rows, np.equal(*packed_index(n))])
+                operator, rank_deficient = _least_squares(rows, np.eye(len(rows)))
                 got = fit_operator(points)
                 assert (got[0].tobytes(), got[1]) == (operator.tobytes(), rank_deficient)
 
