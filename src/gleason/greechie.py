@@ -198,15 +198,15 @@ class VectorRealization:
     Construction walks the keys in order and the first failing atom decides; within one:
     conversion to float (its own error; TypeError if complex), non-finite, a dimension other
     than the first's, zero. Keys then become ``str``; ValueError if two name one atom.
-    ``_fits`` keeps ``quantum_feasibility``'s kernel rank, basis and fit operator (read-only)
-    for the latest key (diagram atom order, zero pattern bytes); copies start empty.
+    ``_zero_free_fit`` holds the latest (diagram atom order, fit operator L, rank_deficient)
+    that ``quantum_feasibility`` built for a measure with no zero atom; copies start without.
     """
 
     vectors: Mapping[str, np.ndarray]
     dim: int = field(init=False)
     _atoms: tuple[str, ...] = field(init=False, repr=False)
     _rows: np.ndarray = field(init=False, repr=False)
-    _fits: dict = field(init=False, repr=False)
+    _zero_free_fit: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows, dim = [], 0
@@ -233,7 +233,7 @@ class VectorRealization:
         atoms, rows = state
         _keep_keyed(self, "vectors", atoms, rows, rows)
         object.__setattr__(self, "dim", rows.shape[1])
-        object.__setattr__(self, "_fits", {})
+        object.__setattr__(self, "_zero_free_fit", (None, None, False))
 
 
 @dataclass(frozen=True)
@@ -514,12 +514,12 @@ def quantum_feasibility(
     rho is restricted to the orthogonal complement of their span; when that
     span already fills the space the answer is "no", with the span rank as
     certificate. Otherwise the least-squares fit of the other constraints plus
-    unit trace is L @ [p, 1], first call or not, for the
-    :func:`~gleason.numerics.fit_operator` L that the realization keeps for the
-    latest atom order and zero pattern. The candidate is checked against every
-    constraint (tolerance 1e-8), then for positive semidefiniteness
-    (eigenvalue floor -1e-8), then against every atom again once its
-    negative eigenvalues are clamped to 0 and its trace is renormalized.
+    unit trace is L @ [p, 1], for the :func:`~gleason.numerics.fit_operator` L
+    of those rows. L is built on every call where an atom is zero; where none
+    is, the realization keeps it for the latest atom order. The candidate is
+    checked against every constraint (tolerance 1e-8), then for positive
+    semidefiniteness (eigenvalue floor -1e-8), then against every atom again
+    once its negative eigenvalues are clamped to 0 and its trace is renormalized.
     Passing all three gives "yes" with the clamped density. A first-check
     miss is "no" at any rank: no symmetric matrix meets the constraints. A
     later miss is "no" when the fit is unique and "undecided" when it is
@@ -530,15 +530,23 @@ def quantum_feasibility(
     probs = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
     zero = probs <= _ZERO_PROB_TOL
-    key, fits = (diagram.atoms, zero.tobytes()), realization._fits
-    if key not in fits:
-        fits.clear()  # the latest pattern alone: distinct patterns keep no more memory
-        fits[key] = _fit(vectors, zero)
-    kernel_rank, *fit = fits[key]
-    if not fit:
-        certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
-        return QuantumFeasibility(False, certificate=certificate)
-    basis, operator, rank_deficient = fit
+
+    if zero.any():
+        z = vectors[zero]
+        gram = SymMatrix(z.T @ z)
+        kernel_rank = rank(gram)
+        if kernel_rank == realization.dim:
+            certificate = InfeasibilityCertificate("kernel-rank", kernel_rank=kernel_rank)
+            return QuantumFeasibility(False, certificate=certificate)
+        basis = gram.spectrum.eigenvectors[:, kernel_rank:]
+        operator, rank_deficient = fit_operator(vectors[~zero] @ basis)
+    else:
+        basis = None
+        atoms, operator, rank_deficient = realization._zero_free_fit
+        if atoms != diagram.atoms:
+            operator, rank_deficient = fit_operator(vectors)
+            kept = (diagram.atoms, operator, rank_deficient)
+            object.__setattr__(realization, "_zero_free_fit", kept)
     n = realization.dim if basis is None else basis.shape[1]
     form = sym_from_packed(operator @ np.append(probs[~zero], 1.0), n)
     rho = SymMatrix(form if basis is None else basis @ form @ basis.T)
@@ -566,19 +574,6 @@ def quantum_feasibility(
         )
         return QuantumFeasibility(False, certificate=certificate, status=failed)
     return QuantumFeasibility(True, DensityOperator(SymMatrix(cleaned)))
-
-
-def _fit(vectors: np.ndarray, zero: np.ndarray) -> tuple:
-    """(kernel rank,) if the zeros span the space, else (kernel rank, basis, L, rank_deficient)."""
-    if not zero.any():
-        return (0, None, *fit_operator(vectors))
-    z = vectors[zero]
-    gram = SymMatrix(z.T @ z)
-    kernel_rank = rank(gram)
-    if kernel_rank == vectors.shape[1]:
-        return (kernel_rank,)
-    basis = gram.spectrum.eigenvectors[:, kernel_rank:]
-    return (kernel_rank, basis, *fit_operator(vectors[~zero] @ basis))
 
 
 def _missed_atoms(diagram, vectors, probs, candidate) -> list[tuple[str, float, float]]:

@@ -13,7 +13,7 @@ diagonalized (a SymMatrix's :func:`rank` reads it too),
 through it), :func:`pow2_rescale` the one exact rescaling, :func:`unit_rows` the one way
 rows are normalised, :func:`real_array` the one gate that refuses complex input,
 :func:`fit_form` the one-shot fit of a symmetric form (:func:`fit_operator` the same fit
-with unit trace as a linear map of the values, to keep), :func:`quadratic_values` its batch
+with unit trace as a linear map of the values, read-only), :func:`quadratic_values` its batch
 evaluation for checks (``frame.evaluate`` is the API's evaluator at one unit point, on
 the rescaled form); the ``dim n`` text format is here too.
 """
@@ -318,7 +318,9 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     for _ in range(3 * n + 1):
         gradient = a.T @ (b - a @ x) / norms
         gradient[active] = -np.inf
-        if gradient.max(initial=-np.inf) <= residual_tol:
+        # NNLS's optimality test a^T r <= 0: a column with any positive gradient, even
+        # one below t, can still shrink r, and a None from a stop above 0 proves nothing.
+        if gradient.max(initial=-np.inf) <= 0.0:
             break
         entering = int(gradient.argmax())
         active[entering] = True
@@ -409,7 +411,8 @@ def fit_operator(points) -> tuple[np.ndarray, bool]:
 
     The rows are :func:`fit_form`'s, then tr A; L is the solution for B = I, by the same
     solve as :func:`solve_least_squares` (the QR of [rows | I], or ``lstsq``), so
-    ``L @ [values, trace]`` is the packed least-squares A to roundoff.
+    ``L @ [values, trace]`` is the packed least-squares A to roundoff. L is read-only, so a
+    caller may keep it: ``quantum_feasibility`` keeps a realization's zero-free L.
     """
     n = np.shape(points)[1]
     rows = np.concatenate((_form_rows(points), np.equal(*packed_index(n))[None]))

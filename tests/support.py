@@ -20,8 +20,9 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep: the loop's plain twin under the same zero rule,
-not an oracle; ``cycling_lstsq`` drives that loop into its give-up.
+library's method calls must keep: the loop's plain twin under the same zero rule
+and the same stop at no positive gradient, not an oracle; ``cycling_lstsq`` drives
+that loop into its give-up.
 ``reference_is_polytope_vertex`` is the
 stacked active-constraint rank test that the support-column test replaces;
 their verdicts must match at tolerances up to 1e-3. ``clamp_miss`` and
@@ -353,7 +354,7 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
         gradient = np.where(active, -np.inf, a.T @ (b - a @ x) / norms)
-        if np.max(gradient, initial=-np.inf) <= residual_tol:
+        if np.max(gradient, initial=-np.inf) <= 0.0:
             break
         entering = int(np.argmax(gradient))
         active[entering] = True

@@ -37,6 +37,8 @@ FIXTURES = greechie.FIXTURES
 PSI_UNDECIDED = Path(__file__).with_name("psi_undecided.greechie")
 # Two contexts of R^3 sharing e3 at probability 0: realizable, through a fit on the e1-e2 plane.
 SHARED_RAY = Path(__file__).with_name("shared_ray.greechie")
+# (1 - e) 1010110 + e 1011010 with e = 1.214e-9, just above tol: a convex sum of two-valued states.
+NEAR_THRESHOLD = Path(__file__).with_name("near_threshold.greechie")
 BOM = b"\xef\xbb\xbf"
 
 
@@ -386,8 +388,9 @@ class TestReconstruct:
             ("1\n", "probe line 1: need at least one coordinate and a value"),
             ("# no rows\n", "empty probe table"),
             ("1 0 1\n0 1 0 5\n", "probe lines have inconsistent column counts"),
+            ("1e200 0 0.5\n", "probe line 1: coordinate 1e+200 is too large"),
         ],
-        ids=["one-column", "empty", "ragged"],
+        ids=["one-column", "empty", "ragged", "too-large"],
     )
     def test_malformed_probe_table_is_parse_error(self, capsys, tmp_path, text, message):
         table = tmp_path / "probes.txt"
@@ -679,6 +682,22 @@ class TestGreechieCommands:
         assert code == EXIT_INFEASIBLE
         assert verdicts(payload)["decomposable"] is False
         assert err == ""
+
+    def test_decompose_near_the_threshold(self, capsys):
+        # Once "decomposable: false" with exit 5: NNLS stopped while the small weight's
+        # column still had a positive gradient, below tol.
+        code, out, err = run(capsys, "greechie", "decompose", str(NEAR_THRESHOLD))
+        assert (code, err) == (EXIT_OK, "")
+        assert "decomposable: true" in out.splitlines()
+        code, payload, err = structured(capsys, "greechie", "decompose", str(NEAR_THRESHOLD))
+        assert (code, err) == (EXIT_OK, "")
+        values = verdicts(payload)
+        assert values["decomposable"] is True
+        weights = np.array([w["weight"] for w in values["weights"]])
+        states = np.array([[int(c) for c in w["state"]] for w in values["weights"]])
+        parsed = greechie.parse_greechie_text(NEAR_THRESHOLD.read_text())
+        p = np.array([parsed.assignment.values[a] for a in parsed.diagram.atoms])
+        assert np.max(np.abs(weights @ states - p)) <= 1e-9
 
     def test_decompose_solver_give_up_is_undecided(self, capsys, monkeypatch):
         # A give-up proves neither answer; it once exited 3 with the message on stderr alone.
