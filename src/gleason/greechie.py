@@ -526,6 +526,8 @@ def quantum_feasibility(
     rank deficient; an "undecided" certificate records the miss, proving nothing.
     """
     vectors = diagram._aligned(realization, "realization")
+    if not realization.dim:  # only the empty diagram's: every atom has a nonzero vector
+        raise InvalidRealization("realization has no vectors; rho needs dimension >= 1")
     _require(_realization_violations(diagram, vectors, DEFAULT_TOL), InvalidRealization)
     probs = diagram._aligned(assignment, "assignment")
     _require(_state_violations(diagram, probs, DEFAULT_TOL), InvalidState)
@@ -636,9 +638,9 @@ def parse_greechie_text(text: str) -> GreechieFile:
 
     Directives: ``atom <id>``, ``block <id> <id> ...``, ``prob <id>
     <decimal>``, ``vec <id> <v1> ... <vn>``; ``#`` starts a comment.
-    Rejects non-finite numbers, unknown atoms in block/prob/vec lines,
-    duplicate prob or vec entries for one atom, blocks of fewer than 2
-    atoms, and inconsistent vector dimensions.
+    Rejects a file with no ``atom`` line, non-finite numbers, unknown atoms in
+    block/prob/vec lines, duplicate prob or vec entries for one atom, blocks of
+    fewer than 2 atoms, and inconsistent vector dimensions.
     """
     atoms: dict[str, None] = {}  # declared atoms, in order
     blocks: list[tuple[str, ...]] = []
@@ -696,6 +698,8 @@ def parse_greechie_text(text: str) -> GreechieFile:
             vectors[args[0]] = components
         else:
             raise GreechieFormatError(f"line {lineno}: unknown directive {keyword!r}")
+    if not atoms:
+        raise GreechieFormatError("file declares no atom")
 
     diagram = GreechieDiagram(tuple(atoms), tuple(blocks))
     assignment = ProbabilityAssignment(probs) if probs else None

@@ -2,9 +2,10 @@
 
 Everything here is float64 and sized for desk-scale problems (dimensions up to a few
 dozen). Eigendecomposition, rank, least squares and orthonormalization delegate to
-LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares.
-Least squares solves A X = B, for one right-hand side or several, from one Householder
-QR of [A | B] when its R factor is certified to have full column rank (||R||_F ||R^-1||_F
+LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares,
+whose "no" is given only with a checked Farkas certificate. Least squares solves A X = B,
+for one right-hand side or several, from the R factor of one Householder QR of [A | B]
+(numpy's ``mode="r"``) when R is certified to have full column rank (||R||_F ||R^-1||_F
 small enough that the SVD would find full rank too), and with the SVD-based ``lstsq``
 for every other system. ``SymMatrix.spectrum`` is the one place a matrix is
 diagonalized (a SymMatrix's :func:`rank` reads it too),
@@ -222,40 +223,28 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
 def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     """(X, rank_deficient) minimizing ||a X - b|| per column of the m x r ``b``.
 
-    A tall system (m >= k >= 1) takes one Householder QR of [a | b]; X comes from it when
-    :func:`_certified_qr_solve` certifies R, and from ``np.linalg.lstsq`` otherwise.
+    A tall system (m >= k >= 1) takes the R factor of one Householder QR of [a | b]
+    (``np.linalg.qr`` with ``mode="r"``): its top k rows are [R | Q^T b]. X comes from
+    them when :func:`_certified_qr_solve` certifies R, and from ``np.linalg.lstsq`` otherwise.
     """
     m, k = a.shape
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("least-squares system has non-finite entries")
     x = None
     if m >= k >= 1:
-        # LAPACK's geqrf output, transposed: row j holds column j of [R | Q^T b] up to
-        # the diagonal, then the Householder vectors, which the mask zeroes.
-        h = np.linalg.qr(np.concatenate((a, b), axis=1), mode="raw")[0]
-        x = _certified_qr_solve(h[:k, :k].T, h[k:, :k].T, m)
+        r = np.linalg.qr(np.concatenate((a, b), axis=1), mode="r")
+        x = _certified_qr_solve(r[:k, :k], r[:k, k:], m)
     if x is None:
         x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
         return x, int(rk) < k
     return x, False
 
 
-@cache
-def _upper_ones(k: int) -> np.ndarray:
-    """Read-only k x k ones on and above the diagonal, kept per k.
-
-    ``np.triu`` builds its mask per call, which costs as much as a small QR.
-    """
-    mask = np.triu(np.ones((k, k)))
-    mask.flags.writeable = False
-    return mask
-
-
 def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | None:
     """X = R^-1 Q^T B from an m-row Householder QR, or None unless R is certified.
 
-    ``r`` holds R on and above its diagonal (the mask drops what lies below), ``qtb`` is
-    the top k rows of Q^T B, k x r, and X is k x r, one solution per column of B.
+    ``r`` is the k x k upper triangular R, ``qtb`` the top k rows of Q^T B, k x r, and X
+    is k x r, one solution per column of B.
     Householder QR least squares is backward stable for full-rank problems (Golub & Van
     Loan, Matrix Computations, sec. 5.3). The certificate is
     kappa_F = ||R||_F ||R^-1||_F <= 1e-3 / (eps max(m, k)), taken on R after
@@ -265,7 +254,7 @@ def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | 
     One LAPACK solve of the scaled R for [Q^T B | I] gives both R^-1 Q^T B and R^-1.
     """
     k, width = qtb.shape
-    scaled, s = pow2_rescale(r * _upper_ones(k))
+    scaled, s = pow2_rescale(r)
     # ||R_s||_F >= max |r_ii| and ||R_s^-1||_F >= max 1 / |r_ii|, the diagonal of the
     # triangular inverse, so kappa_F >= high * (1 / low): rounded alike, this rejects
     # only what the kappa test below would, and exactly singular R before the solve.
@@ -295,9 +284,12 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
 
     Lawson-Hanson non-negative least squares (Solving Least Squares
     Problems, 1974, ch. 23), one LAPACK solve per step. With t = scaled_tol(tol, b),
-    returns a witness if max |a x - b| <= t, else None; each witness entry x_j is
-    exactly 0 or its column adds above t (x_j ||a_j|| > t). RuntimeError if 3n steps
-    do not settle. ValueError on non-finite entries, as no finite x can answer them.
+    returns a witness if max |a x - b| <= t; each witness entry x_j is exactly 0 or its
+    column adds above t (x_j ||a_j|| > t). None only when the last residual b - a x,
+    projected once more off the columns x uses, is a Farkas certificate y up to roundoff:
+    a_j^T y <= m eps ||a_j|| ||y|| for every column and b^T y > m eps ||b|| ||y||, so no
+    x >= 0 has a x = b. RuntimeError if 3n steps do not settle, or if they stop without
+    that certificate. ValueError on non-finite entries, as no finite x can answer them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -339,7 +331,19 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         x = s
     else:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
-    return x if abs(a @ x - b).max(initial=0.0) <= residual_tol else None
+    y = b - a @ x
+    if abs(y).max(initial=0.0) <= residual_tol:
+        return x
+    # y's roundoff is relative to ||b||, so the columns x uses see it to that precision
+    # only: one more least-squares step off them makes a_j^T y small next to ||y||.
+    used = x > 0.0
+    y -= a[:, used] @ np.linalg.lstsq(a[:, used], y, rcond=None)[0]
+    # Both sides scaled by powers of 2, which is exact and keeps every square in range.
+    y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
+    slack = m * sys.float_info.epsilon * math.sqrt(y @ y)
+    if (a.T @ y <= slack * norms).all() and rhs @ y > slack * math.sqrt(rhs @ rhs):
+        return None
+    raise RuntimeError("non-negative least squares stopped without a certificate of infeasibility")
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -384,14 +388,16 @@ def quad_coeff_row(x) -> np.ndarray:
     Unknown order: the n diagonal entries, then the off-diagonal entries
     (i, j) with i < j in lexicographic order. The row satisfies
     row @ packed(A) == x^T A x for symmetric A. A k x n stack of points
-    gives the k x n(n+1)/2 stack of their rows.
+    gives the k x n(n+1)/2 stack of their rows. An entry that overflows is inf, without
+    a warning: the solve that takes the rows refuses it.
     """
     x = np.asarray(x, dtype=float)
     i, j = packed_index(x.shape[-1])
     # C order, as for rows stacked one by one, so that BLAS sums the rows alike.
     row = x.take(i, axis=-1)
-    row *= x.take(j, axis=-1)
-    row[..., x.shape[-1] :] *= 2.0
+    with np.errstate(over="ignore"):
+        row *= x.take(j, axis=-1)
+        row[..., x.shape[-1] :] *= 2.0
     return row
 
 
@@ -401,7 +407,7 @@ def fit_form(points, values) -> LeastSquaresSolution:
     ``solution`` is A itself, n x n. A row that overflows is inf, which
     :func:`solve_least_squares` refuses with ValueError.
     """
-    fit = solve_least_squares(_form_rows(points), values)
+    fit = solve_least_squares(quad_coeff_row(points), values)
     n = np.shape(points)[1]
     return LeastSquaresSolution(sym_from_packed(fit.solution, n), fit.residual, fit.rank_deficient)
 
@@ -415,16 +421,10 @@ def fit_operator(points) -> tuple[np.ndarray, bool]:
     caller may keep it: ``quantum_feasibility`` keeps a realization's zero-free L.
     """
     n = np.shape(points)[1]
-    rows = np.concatenate((_form_rows(points), np.equal(*packed_index(n))[None]))
+    rows = np.concatenate((quad_coeff_row(points), np.equal(*packed_index(n))[None]))
     operator, rank_deficient = _least_squares(rows, np.eye(len(rows)))
     operator.flags.writeable = False
     return operator, rank_deficient
-
-
-def _form_rows(points) -> np.ndarray:
-    """``quad_coeff_row`` of each point; a row that overflows is inf, without a warning."""
-    with np.errstate(over="ignore"):  # the solve stays outside, so its overflows still warn
-        return quad_coeff_row(points)
 
 
 def quadratic_values(points, a) -> np.ndarray:
@@ -433,29 +433,20 @@ def quadratic_values(points, a) -> np.ndarray:
 
 
 def sym_from_packed(values, n: int) -> np.ndarray:
-    """Inverse of the packing used by :func:`quad_coeff_row`."""
+    """Inverse of the packing used by :func:`quad_coeff_row`.
+
+    Each packed entry goes to (i, j) and to (j, i), for the (i, j) of :func:`packed_index`.
+    """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != n * (n + 1) // 2:
         raise DimensionMismatch(
             f"expected {n * (n + 1) // 2} packed entries, got {values.shape[0]}"
         )
-    a = np.zeros(n * n)
-    for flat in _flat_index(n):
-        a[flat] = values
-    return a.reshape(n, n)
-
-
-@cache
-def _flat_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in a flat n x n array of (row, col) and of (col, row) per packed entry.
-
-    Kept per n and read-only: one flat assignment costs less than one indexed by two arrays.
-    """
     i, j = packed_index(n)
-    index = i * n + j, j * n + i
-    for a in index:
-        a.flags.writeable = False
-    return index
+    a = np.empty((n, n))
+    a[i, j] = values
+    a[j, i] = values
+    return a
 
 
 def finite_float(token: str) -> float:

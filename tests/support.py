@@ -20,9 +20,9 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep: the loop's plain twin under the same zero rule
-and the same stop at no positive gradient, not an oracle; ``cycling_lstsq`` drives
-that loop into its give-up.
+library's method calls must keep: the loop's plain twin under the same zero rule,
+the same stop at no positive gradient and the same Farkas certificate check before a
+None, not an oracle; ``cycling_lstsq`` drives that loop into its give-up.
 ``reference_is_polytope_vertex`` is the
 stacked active-constraint rank test that the support-column test replaces;
 their verdicts must match at tolerances up to 1e-3. ``clamp_miss`` and
@@ -372,7 +372,16 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         x = s
     else:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
-    return x if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol else None
+    if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol:
+        return x
+    # None only with a Farkas certificate: the residual, projected off the columns x uses.
+    y = b - a @ x
+    y = y - a[:, x > 0.0] @ np.linalg.lstsq(a[:, x > 0.0], y, rcond=None)[0]
+    y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
+    slack = m * np.finfo(float).eps * np.sqrt(y @ y)
+    if np.all(a.T @ y <= slack * norms) and rhs @ y > slack * np.sqrt(rhs @ rhs):
+        return None
+    raise RuntimeError("non-negative least squares stopped without a certificate of infeasibility")
 
 
 def cycling_lstsq():

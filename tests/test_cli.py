@@ -603,18 +603,24 @@ class TestGreechieCommands:
     @pytest.mark.parametrize(
         "subcommand, text, message",
         [
-            (
+            pytest.param(
                 "decompose",
                 "atom a\natom b\nblock a b\n",
                 "file has no prob lines; nothing to decompose",
+                id="decompose-without-prob",
             ),
-            (
+            pytest.param(
                 "feasibility",
                 "atom a\natom b\nblock a b\nprob a 1\nprob b 0\n",
                 "feasibility needs both prob and vec lines",
+                id="feasibility-without-vec",
+            ),
+            # A comment-only file once checked as "valid: true" and had "count: 1".
+            *(
+                pytest.param(sub, "# no atoms\n", "file declares no atom", id=f"{sub}-without-atoms")
+                for sub in ("check", "two-valued", "decompose", "feasibility")
             ),
         ],
-        ids=["decompose-without-prob", "feasibility-without-vec"],
     )
     def test_missing_lines_are_greechie_format_errors(
         self, capsys, tmp_path, subcommand, text, message

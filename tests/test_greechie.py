@@ -673,6 +673,9 @@ class TestIndexArrays:
         diagram = GreechieDiagram((), ())
         assert diagram.incidence.shape == (0, 0)
         assert check_realization(diagram, VectorRealization({})) == []
+        # Valid, but no density operator has dimension 0.
+        with pytest.raises(InvalidRealization, match="no vectors"):
+            quantum_feasibility(diagram, VectorRealization({}), ProbabilityAssignment({}))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_index_arrays_match_reference(self, seed):
@@ -1459,6 +1462,8 @@ class TestParser:
     @pytest.mark.parametrize(
         "text,message",
         [
+            ("", "declares no atom"),
+            ("# a comment only\n", "declares no atom"),
             ("atom a\natom a\nblock a a\n", "duplicate atom"),
             ("atom a b\n", "atom takes exactly one id"),
             ("atom a\natom b\nblock a b a\n", "block repeats an atom"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gleason import numerics
 from gleason.greechie import parse_greechie_text
 from gleason.numerics import (
     _least_squares,
@@ -68,6 +69,27 @@ def kappa(a):
     sigma = np.linalg.svd(a, compute_uv=False)
     kept = sigma[sigma > EPS * max(a.shape) * sigma.max(initial=0.0)]
     return kept[0] / kept[-1] if kept.size else 1.0
+
+
+def lp_verdict(monkeypatch, a, b):
+    """``lp_feasible(a, b)``, and for a None the residual y it certified (its first rescale)."""
+    rescaled = []
+
+    def recorded(v):
+        rescaled.append(np.array(v, dtype=float))
+        return pow2_rescale(v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "pow2_rescale", recorded)
+        witness = lp_feasible(a, b)
+    return witness, None if witness is not None else rescaled[0]
+
+
+def assert_farkas(a, b, y):
+    """a_j^T y <= m eps ||a_j|| ||y|| for every column and b^T y > m eps ||b|| ||y||."""
+    slack = len(b) * EPS * np.linalg.norm(y)
+    assert np.all(a.T @ y <= slack * np.linalg.norm(a, axis=0))
+    assert b @ y > slack * np.linalg.norm(b)
 
 
 def least_squares_cases():
@@ -510,9 +532,9 @@ class TestLeastSquares:
             x = fit.solution
             assert np.linalg.norm(operator @ b - x) <= 1e-12 * kappa(a) * np.linalg.norm(x), label
 
-    def test_certified_systems_take_one_raw_qr(self, monkeypatch):
-        # One Householder QR of [a | B] and no other QR call per certified system: a
-        # single right-hand side, and B = I for fit_operator on determined point sets,
+    def test_certified_systems_take_one_r_mode_qr(self, monkeypatch):
+        # One R-only Householder QR of [a | B] and no other QR or lstsq call per certified
+        # system: a single right-hand side, and B = I for fit_operator on determined point sets,
         # n + 1 random contexts of R^n for n = 2..8 and KS-18's 18 rays in R^4.
         systems = [(label, a, b) for label, a, b, path in least_squares_cases() if path == "qr"]
         rng = np.random.default_rng(35)
@@ -535,11 +557,11 @@ class TestLeastSquares:
         for label, a, b in systems:
             modes.clear()
             solve_least_squares(a, b)
-            assert modes == ["raw"], label
+            assert modes == ["r"], label
         for points in point_sets:
             modes.clear()
             assert not fit_operator(points)[1]
-            assert modes == ["raw"], points.shape
+            assert modes == ["r"], points.shape
 
     def test_rank_deficient_tall_systems_skip_the_solve(self, monkeypatch):
         # R's diagonal alone refuses them (kappa_F >= max|r_ii| / min|r_ii|), before
@@ -601,10 +623,12 @@ class TestLpFeasible:
         assert lp_feasible(np.zeros((1, 0)), [0.0]) is not None
         assert lp_feasible(np.zeros((1, 0)), [1.0]) is None
 
-    def test_pentagon_measure_system_is_infeasible(self):
+    def test_pentagon_measure_system_is_infeasible(self, monkeypatch):
         # Decomposing the half/zero pentagon measure over its 11 two-valued
         # states: every state raises some zero-probability atom, so no
-        # convex combination can work.
+        # convex combination can work. The certificate is 0.1 on each a atom,
+        # -0.2 on each b atom and 0 on the sum row: a state scores at most 0,
+        # the measure 0.25.
         from gleason import builtin_wright_pentagon, enumerate_two_valued_states
 
         diagram, _, measure = builtin_wright_pentagon()
@@ -613,9 +637,13 @@ class TestLpFeasible:
         a = np.array(states).T
         rows = np.vstack([a, np.ones(len(states))])
         rhs = np.array([measure.values[atom] for atom in diagram.atoms] + [1.0])
-        assert lp_feasible(rows, rhs) is None
+        witness, certificate = lp_verdict(monkeypatch, rows, rhs)
+        assert witness is None
+        assert_farkas(rows, rhs, certificate)
+        assert np.max(np.abs(certificate - ([0.1] * 5 + [-0.2] * 5 + [0.0]))) <= 1e-12
 
-    def test_agrees_with_brute_force_enumeration(self):
+    def test_agrees_with_brute_force_enumeration(self, monkeypatch):
+        # Every None comes with its Farkas certificate, checked here again.
         rng = np.random.default_rng(2024)
         for trial in range(60):
             m = int(rng.integers(1, 4))
@@ -626,18 +654,21 @@ class TestLpFeasible:
                 b = a @ x0
             else:
                 b = rng.integers(-3, 4, size=m).astype(float)
-            witness = lp_feasible(a, b)
+            witness, certificate = lp_verdict(monkeypatch, a, b)
             expected = brute_force_lp_feasible(a, b)
             assert (witness is not None) == expected, f"trial {trial}: a={a} b={b}"
-            if witness is not None:
+            if witness is None:
+                assert_farkas(a, b, certificate)
+            else:
                 assert np.max(np.abs(a @ witness - b)) <= 1e-7
                 assert np.min(witness) >= -1e-9
 
-    def test_agrees_with_highs(self):
+    def test_agrees_with_highs(self, monkeypatch):
         # Systems too large to enumerate: is b in the convex hull of the
         # columns of an integer, 0/1 (repeated columns, degenerate vertices)
         # or Gaussian matrix? b is a sparse convex combination, moved by +-1
-        # along one axis in every other group of three trials.
+        # along one axis in every other group of three trials. Every None comes
+        # with its Farkas certificate, checked here again.
         rng = np.random.default_rng(4)
         for trial in range(180):
             m, n = int(rng.integers(2, 10)), int(rng.integers(10, 40))
@@ -652,9 +683,11 @@ class TestLpFeasible:
             b[-1] = 1.0
             if trial // 3 % 2:
                 b[int(rng.integers(m))] += rng.choice([-1.0, 1.0])
-            witness = lp_feasible(a, b)
+            witness, certificate = lp_verdict(monkeypatch, a, b)
             assert (witness is not None) == highs_lp_feasible(a, b), f"trial {trial}"
-            if witness is not None:
+            if witness is None:
+                assert_farkas(a, b, certificate)
+            else:
                 assert np.max(np.abs(a @ witness - b)) <= 1e-9
                 # Each nonzero entry's column adds above the residual threshold.
                 nonzero = witness != 0.0
@@ -676,15 +709,19 @@ class TestLpFeasible:
         # A zero column's floor, 10 / float min, overflows: inf, without a warning.
         assert np.array_equal(lp_feasible([[0.0, 1.0]], [1e10]), [0.0, 1e10])
 
-    def test_roundoff_stall_answers_none(self, monkeypatch):
+    def test_roundoff_stall_without_a_certificate_gives_up(self, monkeypatch):
         # An entering coefficient at or below its floor (> 0 in exact arithmetic) stops
-        # the search at the last point, here x = 0, whose residual 1 is too large: None,
-        # with no warning (pytest turns every warning into an error).
+        # the search at the last point, here x = 0, whose residual y = 1 is too large. The
+        # system is feasible, and a^T y = 1 > 0 is no Farkas certificate: RuntimeError, which
+        # `gleason greechie decompose` answers as "undecided" (exit 6), with no warning.
         def stalled(a, b, rcond=None):
             return np.zeros(a.shape[1]), None, None, None
 
         monkeypatch.setattr(np.linalg, "lstsq", stalled)
-        assert lp_feasible([[1.0, 1.0]], [1.0]) is None
+        with pytest.raises(RuntimeError) as raised:
+            lp_feasible([[1.0, 1.0]], [1.0])
+        message = "non-negative least squares stopped without a certificate of infeasibility"
+        assert str(raised.value) == message
 
     def test_gives_up_after_3n_steps(self, monkeypatch):
         # The two columns take turns entering and leaving, so 3n steps do not settle;
@@ -906,8 +943,11 @@ class TestPackedQuadratic:
         assert fit_operator(bases)[1]
 
     def test_fit_form_refuses_an_overflowing_row_without_a_warning(self):
-        # The rows are built under errstate(over="ignore"); the solve then refuses the inf.
+        # quad_coeff_row builds the rows under errstate(over="ignore"); the solve then
+        # refuses the inf.
         points = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        rows = [[math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 2.0]]
+        assert quad_coeff_row(points).tolist() == rows
         with pytest.raises(ValueError, match="non-finite entries"):
             fit_form(points, np.ones(3))
         with pytest.raises(ValueError, match="non-finite entries"):
