@@ -4,11 +4,9 @@ Everything here is float64 and sized for desk-scale problems (dimensions up to a
 dozen). Eigendecomposition, rank, least squares and orthonormalization delegate to
 LAPACK through numpy, and so does LP feasibility, decided by non-negative least squares,
 whose "no" is given only with a checked Farkas certificate. Least squares solves A X = B,
-for one right-hand side or several, from the R factor of one Householder QR of [A | B]
-(numpy's ``mode="r"``) when R is certified to have full column rank (||R||_F ||R^-1||_F
-small enough that the SVD would find full rank too), and with the SVD-based ``lstsq``
-for every other system. ``SymMatrix.spectrum`` is the one place a matrix is
-diagonalized (a SymMatrix's :func:`rank` reads it too),
+for one right-hand side or several, by one call of the SVD-based ``lstsq`` (LAPACK's
+``gelsd``), which also decides the rank. ``SymMatrix.spectrum`` is the one place a
+matrix is diagonalized (a SymMatrix's :func:`rank` reads it too),
 :func:`scaled_tol` the one rule for zero at the input's scale (past the float range too;
 :func:`rank`, :func:`orthonormalize` and :func:`lp_feasible`'s coefficients decide
 through it), :func:`pow2_rescale` the one exact rescaling, :func:`unit_rows` the one way
@@ -196,14 +194,10 @@ class LeastSquaresSolution:
 
 
 def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
-    """Least squares by LAPACK; ValueError on non-finite entries, which it cannot scale.
+    """Least squares by one LAPACK ``gelsd`` solve (:func:`_least_squares`).
 
-    A tall system (m >= k >= 1) whose QR factor is certified to have full
-    column rank (see :func:`_certified_qr_solve`) is solved from one
-    Householder QR. Every other system, wide, rank deficient or too close to
-    the rank threshold, goes to ``np.linalg.lstsq`` (LAPACK's SVD-based
-    ``gelsd``), which gives the minimum-norm solution and decides
-    ``rank_deficient``. The residual is ||rows @ x - rhs||, taken after
+    gelsd gives the minimum-norm solution and decides ``rank_deficient``; ValueError on
+    non-finite entries. The residual is ||rows @ x - rhs||, taken after
     :func:`pow2_rescale` so that its squares cannot overflow.
     """
     a = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -213,83 +207,38 @@ def solve_least_squares(rows, rhs) -> LeastSquaresSolution:
         raise DimensionMismatch("need at least one row")
     if m != b.shape[0]:
         raise DimensionMismatch(f"{m} rows but {b.shape[0]} right-hand sides")
-    x, rank_deficient = _least_squares(a, b[:, None])
-    x = x[:, 0]
+    x, rank_deficient = _least_squares(a, b)
     r, s = pow2_rescale(a @ x - b)
     residual = math.sqrt(r @ r) * s
     return LeastSquaresSolution(x, residual, rank_deficient)
 
 
 def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(X, rank_deficient) minimizing ||a X - b|| per column of the m x r ``b``.
+    """(X, rank_deficient) minimizing ||a X - b||, for a vector ``b`` or per column of a matrix.
 
-    A tall system (m >= k >= 1) takes the R factor of one Householder QR of [a | b]
-    (``np.linalg.qr`` with ``mode="r"``): its top k rows are [R | Q^T b]. X comes from
-    them when :func:`_certified_qr_solve` certifies R, and from ``np.linalg.lstsq`` otherwise.
+    One ``np.linalg.lstsq`` (LAPACK's SVD-based ``gelsd``, rcond eps max(m, k)): X is the
+    minimum-norm solution, and the system is rank deficient when gelsd keeps fewer than k
+    singular values. ValueError on non-finite entries, which LAPACK cannot scale.
     """
-    m, k = a.shape
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("least-squares system has non-finite entries")
-    x = None
-    if m >= k >= 1:
-        r = np.linalg.qr(np.concatenate((a, b), axis=1), mode="r")
-        x = _certified_qr_solve(r[:k, :k], r[:k, k:], m)
-    if x is None:
-        x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
-        return x, int(rk) < k
-    return x, False
-
-
-def _certified_qr_solve(r: np.ndarray, qtb: np.ndarray, m: int) -> np.ndarray | None:
-    """X = R^-1 Q^T B from an m-row Householder QR, or None unless R is certified.
-
-    ``r`` is the k x k upper triangular R, ``qtb`` the top k rows of Q^T B, k x r, and X
-    is k x r, one solution per column of B.
-    Householder QR least squares is backward stable for full-rank problems (Golub & Van
-    Loan, Matrix Computations, sec. 5.3). The certificate is
-    kappa_F = ||R||_F ||R^-1||_F <= 1e-3 / (eps max(m, k)), taken on R after
-    :func:`pow2_rescale` so that no square overflows or underflows. Since
-    sigma_max / sigma_min <= kappa_F, it gives sigma_min > 1e3 rcond sigma_max
-    for gelsd's rcond = eps max(m, k): ``lstsq`` would find full rank too.
-    One LAPACK solve of the scaled R for [Q^T B | I] gives both R^-1 Q^T B and R^-1.
-    """
-    k, width = qtb.shape
-    scaled, s = pow2_rescale(r)
-    # ||R_s||_F >= max |r_ii| and ||R_s^-1||_F >= max 1 / |r_ii|, the diagonal of the
-    # triangular inverse, so kappa_F >= high * (1 / low): rounded alike, this rejects
-    # only what the kappa test below would, and exactly singular R before the solve.
-    diagonal = abs(scaled.diagonal()).tolist()
-    low, high = min(diagonal), max(diagonal)
-    if not (low > 0.0 and high * (1.0 / low) * sys.float_info.epsilon * max(m, k) <= 1e-3):
-        return None
-    rhs = np.eye(k, k + width, width)
-    rhs[:, :width] = qtb
-    solved = np.linalg.solve(scaled, rhs)
-    # A certified R_s^-1 has entries below 1e-3 / eps, so its squares stay in range;
-    # past 1e154 they overflow to inf (vdot is no ufunc and does not warn), which fails.
-    inverse = solved[:, width:]
-    kappa = math.sqrt(np.vdot(scaled, scaled)) * math.sqrt(np.vdot(inverse, inverse))
-    if not kappa * sys.float_info.epsilon * max(m, k) <= 1e-3:
-        return None
-    x = solved[:, :width]  # s X
-    # s is a power of 2, so x / s only shifts exponents; it overflows (with a
-    # warning) only where x itself is past the float range, and lstsq decides those.
-    if not np.abs(x).max() < sys.float_info.max * min(s, 1.0):
-        return None
-    return x / s
+    x, _, rk, _ = np.linalg.lstsq(a, b, rcond=None)
+    return x, int(rk) < a.shape[1]
 
 
 def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Decide existence of x >= 0 with a @ x = b.
 
     Lawson-Hanson non-negative least squares (Solving Least Squares
-    Problems, 1974, ch. 23), one LAPACK solve per step. With t = scaled_tol(tol, b),
+    Problems, 1974, ch. 23), one LAPACK solve per step, on columns scaled exactly by
+    powers of 2 so that no square overflows. With t = scaled_tol(tol, b),
     returns a witness if max |a x - b| <= t; each witness entry x_j is exactly 0 or its
     column adds above t (x_j ||a_j|| > t). None only when the last residual b - a x,
     projected once more off the columns x uses, is a Farkas certificate y up to roundoff:
     a_j^T y <= m eps ||a_j|| ||y|| for every column and b^T y > m eps ||b|| ||y||, so no
     x >= 0 has a x = b. RuntimeError if 3n steps do not settle, or if they stop without
-    that certificate. ValueError on non-finite entries, as no finite x can answer them.
+    that certificate or at a witness past the float range. ValueError on non-finite
+    entries, as no finite x can answer them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -301,10 +250,13 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("feasibility system has non-finite entries")
     residual_tol = scaled_tol(tol, b)
-    # np.linalg.norm's column norms, without its dispatch
-    norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=0)), sys.float_info.min)
-    with np.errstate(over="ignore"):  # inf: no finite coefficient adds the threshold
-        floor = residual_tol / norms  # x_j <= floor_j: column j adds at most residual_tol
+    # Each column over the power of 2 below its peak, which is exact and keeps its squares
+    # in range; x solves the scaled columns, and x / scale is the witness.
+    scale = _pow2_floor(np.abs(a).max(axis=0, initial=0.0))
+    a = a / scale
+    # np.linalg.norm's column norms, without its dispatch: 1 or more, or 0 for a zero column
+    norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=0)), 0.5)
+    floor = residual_tol / norms  # x_j <= floor_j: column j adds at most residual_tol
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
@@ -333,16 +285,20 @@ def lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
     y = b - a @ x
     if abs(y).max(initial=0.0) <= residual_tol:
-        return x
-    # y's roundoff is relative to ||b||, so the columns x uses see it to that precision
-    # only: one more least-squares step off them makes a_j^T y small next to ||y||.
-    used = x > 0.0
-    y -= a[:, used] @ np.linalg.lstsq(a[:, used], y, rcond=None)[0]
-    # Both sides scaled by powers of 2, which is exact and keeps every square in range.
-    y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
-    slack = m * sys.float_info.epsilon * math.sqrt(y @ y)
-    if (a.T @ y <= slack * norms).all() and rhs @ y > slack * math.sqrt(rhs @ rhs):
-        return None
+        with np.errstate(over="ignore"):  # inf: that x_j is past the float range
+            x /= scale
+        if np.isfinite(x).all():
+            return x
+    else:
+        # y's roundoff is relative to ||b||, so the columns x uses see it to that precision
+        # only: one more least-squares step off them makes a_j^T y small next to ||y||.
+        used = x > 0.0
+        y -= a[:, used] @ np.linalg.lstsq(a[:, used], y, rcond=None)[0]
+        # Both sides scaled by powers of 2, which is exact and keeps every square in range.
+        y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
+        slack = m * sys.float_info.epsilon * math.sqrt(y @ y)
+        if (a.T @ y <= slack * norms).all() and rhs @ y > slack * math.sqrt(rhs @ rhs):
+            return None
     raise RuntimeError("non-negative least squares stopped without a certificate of infeasibility")
 
 
@@ -416,9 +372,9 @@ def fit_operator(points) -> tuple[np.ndarray, bool]:
     """Read-only L and ``rank_deficient`` of the fit of x^T A x = value and tr A = trace.
 
     The rows are :func:`fit_form`'s, then tr A; L is the solution for B = I, by the same
-    solve as :func:`solve_least_squares` (the QR of [rows | I], or ``lstsq``), so
-    ``L @ [values, trace]`` is the packed least-squares A to roundoff. L is read-only, so a
-    caller may keep it: ``quantum_feasibility`` keeps a realization's zero-free L.
+    one ``gelsd`` solve as :func:`solve_least_squares`, so ``L @ [values, trace]`` is the
+    packed least-squares A to roundoff. L is read-only, so a caller may keep it:
+    ``quantum_feasibility`` keeps a realization's zero-free L.
     """
     n = np.shape(points)[1]
     rows = np.concatenate((quad_coeff_row(points), np.equal(*packed_index(n))[None]))

@@ -7,9 +7,9 @@ without scipy), and plain numpy arithmetic for expected values. The
 ``reference_*`` functions are the probe-by-probe, pair-by-pair and
 vector-by-vector loops that the library's cached index arrays and batched
 rows replace; results must match them exactly,
-except ``reference_reconstructed``, whose sums a matrix product reorders, and
-``reference_least_squares``, the SVD-based solve that the library keeps only
-for systems its QR path cannot certify. ``reference_atom_ids`` is the three
+except ``reference_reconstructed``, whose sums a matrix product reorders.
+``reference_least_squares`` is the plain ``np.linalg.lstsq`` call that every
+library fit must match bit for bit. ``reference_atom_ids`` is the three
 coercions that the atom id rule replaces, for inputs whose ids are distinct
 after ``str``. ``reference_vector_failure`` replaces nothing: it is the
 library's own atom-by-atom order, with numpy checks where ``VectorRealization``
@@ -20,9 +20,9 @@ diagram's index arrays atom by atom, and ``reference_spectral_mixture`` takes
 each norm with ``np.linalg.norm``; outputs must match them byte for byte.
 ``reference_lp_feasible`` is the Lawson-Hanson loop through numpy's module
 functions (``np.linalg.norm``, ``np.where``, ``np.max``), whose bits the
-library's method calls must keep: the loop's plain twin under the same zero rule,
-the same stop at no positive gradient and the same Farkas certificate check before a
-None, not an oracle; ``cycling_lstsq`` drives that loop into its give-up.
+library's method calls must keep: the loop's plain twin under the same column scaling
+and zero rule, the same stop at no positive gradient and the same Farkas certificate
+check before a None, not an oracle; ``cycling_lstsq`` drives that loop into its give-up.
 ``reference_is_polytope_vertex`` is the
 stacked active-constraint rank test that the support-column test replaces;
 their verdicts must match at tolerances up to 1e-3. ``clamp_miss`` and
@@ -347,9 +347,10 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("feasibility system has non-finite entries")
     residual_tol = scaled_tol(tol, b)
-    norms = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
-    with np.errstate(over="ignore"):
-        floor = residual_tol / norms  # a coefficient at most this adds at most residual_tol
+    scale = np.ldexp(0.5, np.frexp(np.max(np.abs(a), axis=0, initial=0.0))[1])
+    a = a / scale  # powers of 2: exact, and no square overflows
+    norms = np.maximum(np.linalg.norm(a, axis=0), 0.5)
+    floor = residual_tol / norms  # a coefficient at most this adds at most residual_tol
     x = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for _ in range(3 * n + 1):
@@ -373,14 +374,18 @@ def reference_lp_feasible(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     else:
         raise RuntimeError("non-negative least squares did not settle in 3n steps")
     if np.max(np.abs(a @ x - b), initial=0.0) <= residual_tol:
-        return x
-    # None only with a Farkas certificate: the residual, projected off the columns x uses.
-    y = b - a @ x
-    y = y - a[:, x > 0.0] @ np.linalg.lstsq(a[:, x > 0.0], y, rcond=None)[0]
-    y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
-    slack = m * np.finfo(float).eps * np.sqrt(y @ y)
-    if np.all(a.T @ y <= slack * norms) and rhs @ y > slack * np.sqrt(rhs @ rhs):
-        return None
+        with np.errstate(over="ignore"):
+            x = x / scale
+        if np.all(np.isfinite(x)):  # else no float witness: undecided
+            return x
+    else:
+        # None only with a Farkas certificate: the residual, projected off the columns x uses.
+        y = b - a @ x
+        y = y - a[:, x > 0.0] @ np.linalg.lstsq(a[:, x > 0.0], y, rcond=None)[0]
+        y, rhs = pow2_rescale(y)[0], pow2_rescale(b)[0]
+        slack = m * np.finfo(float).eps * np.sqrt(y @ y)
+        if np.all(a.T @ y <= slack * norms) and rhs @ y > slack * np.sqrt(rhs @ rhs):
+            return None
     raise RuntimeError("non-negative least squares stopped without a certificate of infeasibility")
 
 

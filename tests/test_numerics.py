@@ -49,21 +49,6 @@ from support import (
 EPS = np.finfo(float).eps
 
 
-def graded_system(rng, m, k, kappa_f):
-    """m x k matrix with geometrically graded singular values and ||A||_F ||A^+||_F = kappa_f."""
-
-    def kappa_of(log_ratio):
-        sigma = np.exp(-np.linspace(0.0, log_ratio, k))
-        return math.sqrt(sigma @ sigma) * math.sqrt((1.0 / sigma) @ (1.0 / sigma)), sigma
-
-    low, high = 0.0, 200.0
-    for _ in range(200):
-        mid = (low + high) / 2.0
-        low, high = (mid, high) if kappa_of(mid)[0] < kappa_f else (low, mid)
-    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
-    return (u * kappa_of(low)[1]) @ random_orthonormal(rng, k)
-
-
 def kappa(a):
     """sigma_max / sigma_min over the singular values gelsd keeps (1 for no unknowns)."""
     sigma = np.linalg.svd(a, compute_uv=False)
@@ -93,7 +78,7 @@ def assert_farkas(a, b, y):
 
 
 def least_squares_cases():
-    """(label, rows, rhs, path): path "qr" or "lstsq" is the solve each system must take."""
+    """(label, rows, rhs): the fits' systems at three scales, rank-deficient and wide ones."""
     rng = np.random.default_rng(15)
     cases = []
     full_rank = []
@@ -107,30 +92,24 @@ def least_squares_cases():
         full_rank += [probes, feasibility]
     for a in full_rank:
         m, k = a.shape
-        cases.append((f"{m}x{k}", a, rng.standard_normal(m), "qr"))
+        cases.append((f"{m}x{k}", a, rng.standard_normal(m)))
         x = rng.standard_normal(k)
         for scale in (1e150, 1e-150):
-            cases.append((f"{m}x{k} rows x {scale:g}", a * scale, a @ x * scale, "qr"))
-            cases.append((f"{m}x{k} rows x {scale:g}, rhs as is", a * scale, a @ x, "qr"))
+            cases.append((f"{m}x{k} rows x {scale:g}", a * scale, a @ x * scale))
+            cases.append((f"{m}x{k} rows x {scale:g}, rhs as is", a * scale, a @ x))
     # Two contexts plus the trace row: in R^3, 7 rows of rank 5.
     contexts = np.vstack([random_orthonormal(rng, 3) for _ in range(2)])
     a = np.vstack([quad_coeff_row(contexts), np.equal(*packed_index(3))])
-    cases.append(("two contexts, 7x6 of rank 5", a, rng.uniform(0.0, 1.0, 7), "lstsq"))
+    cases.append(("two contexts, 7x6 of rank 5", a, rng.uniform(0.0, 1.0, 7)))
     a = rng.standard_normal((12, 5))
     a = np.column_stack([a, a[:, 2], a[:, 0]])
-    cases.append(("duplicated columns, 12x7 of rank 5", a, rng.standard_normal(12), "lstsq"))
-    for m, k in ((12, 6), (20, 10), (73, 36)):
-        threshold = 1e-3 / (EPS * max(m, k))
-        for factor, path in ((0.9, "qr"), (1.1, "lstsq")):
-            a = graded_system(rng, m, k, factor * threshold)
-            b = a @ rng.standard_normal(k)
-            cases.append((f"{m}x{k} graded, kappa_F {factor} x the certificate", a, b, path))
+    cases.append(("duplicated columns, 12x7 of rank 5", a, rng.standard_normal(12)))
     for m, k in ((1, 2), (5, 6), (9, 10), (17, 36)):
         a, b = rng.standard_normal((m, k)), rng.standard_normal(m)
-        cases.append((f"wide {m}x{k}", a, b, "lstsq"))
-    cases.append(("no unknowns", np.zeros((3, 0)), rng.standard_normal(3), "lstsq"))
+        cases.append((f"wide {m}x{k}", a, b))
+    cases.append(("no unknowns", np.zeros((3, 0)), rng.standard_normal(3)))
     a, b = np.array([[1e-300]]), np.array([1e300])
-    cases.append(("solution past the float range", a, b, "lstsq"))
+    cases.append(("solution past the float range", a, b))
     return cases
 
 
@@ -484,96 +463,64 @@ class TestLeastSquares:
         assert fit.residual <= 1e-14 * 1e300
 
     @pytest.mark.filterwarnings("error")
-    def test_matches_the_lstsq_oracle(self, monkeypatch):
-        # Certified systems take one Householder QR and agree with gelsd to
-        # roundoff; every other system is gelsd's own answer, bit for bit.
-        lstsq, calls = np.linalg.lstsq, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        for label, a, b, path in least_squares_cases():
-            calls.clear()
+    def test_matches_the_lstsq_oracle(self):
+        # Every system is gelsd's own answer, bit for bit, with gelsd's rank decision.
+        for label, a, b in least_squares_cases():
             fit = solve_least_squares(a, b)
-            assert ("lstsq" if calls else "qr") == path, label
             x, rank_deficient = reference_least_squares(a, b)
+            assert fit.solution.tobytes() == x.tobytes(), label
             assert fit.rank_deficient == rank_deficient, label
-            if path == "lstsq":
-                assert fit.solution.tobytes() == x.tobytes(), label
-            else:
-                sigma = np.linalg.svd(a, compute_uv=False)
-                kappa = sigma[0] / sigma[-1]
-                assert np.linalg.norm(fit.solution - x) <= 1e-12 * kappa * np.linalg.norm(x), label
             r = a @ fit.solution - b
             # An exact power-of-2 lift keeps the squares of tiny residuals out of underflow.
             lift = 2.0**500 if np.abs(r).max(initial=0.0) < 1e-140 else 1.0
             assert fit.residual == float(np.linalg.norm(r * lift)) / lift, label
 
-    def test_operator_is_the_single_solve_as_one_map(self, monkeypatch):
-        # L, the solution for B = I by the same solve (the QR of [a | I], or lstsq), takes
-        # the path and the rank of the one-column solve, and L @ b is its solution to roundoff.
-        lstsq, calls = np.linalg.lstsq, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        for label, a, b, path in least_squares_cases():
+    def test_operator_is_the_single_solve_as_one_map(self):
+        # L, the solution for B = I by the same solve, takes the rank of the one-column
+        # solve, and L @ b is its solution to roundoff.
+        for label, a, b in least_squares_cases():
             if label == "solution past the float range":  # L @ b overflows where x does
                 continue
-            calls.clear()
             operator, rank_deficient = _least_squares(a, np.eye(len(a)))
-            assert ("lstsq" if calls else "qr") == path, label
             fit = solve_least_squares(a, b)
             assert rank_deficient == fit.rank_deficient, label
             x = fit.solution
             assert np.linalg.norm(operator @ b - x) <= 1e-12 * kappa(a) * np.linalg.norm(x), label
 
-    def test_certified_systems_take_one_r_mode_qr(self, monkeypatch):
-        # One R-only Householder QR of [a | B] and no other QR or lstsq call per certified
-        # system: a single right-hand side, and B = I for fit_operator on determined point sets,
-        # n + 1 random contexts of R^n for n = 2..8 and KS-18's 18 rays in R^4.
-        systems = [(label, a, b) for label, a, b, path in least_squares_cases() if path == "qr"]
+    def test_every_solve_is_one_lstsq_call(self, monkeypatch):
+        # One gelsd call and no QR per system: a single right-hand side, and B = I for
+        # fit_operator on determined point sets, n + 1 random contexts of R^n for n = 2..8
+        # and KS-18's 18 rays in R^4.
         rng = np.random.default_rng(35)
         point_sets = [np.vstack([random_orthonormal(rng, n) for _ in range(n + 1)])
                       for n in range(2, 9)]
         ks18 = parse_greechie_text(KS18_TEXT).realization
         point_sets.append(np.array(list(ks18.vectors.values())))
-        qr, lstsq, modes = np.linalg.qr, np.linalg.lstsq, []
+        qr, lstsq, calls = np.linalg.qr, np.linalg.lstsq, []
 
-        def recorded_qr(a, mode="reduced"):
-            modes.append(mode)
-            return qr(a, mode=mode)
+        def recorded_qr(*args, **kwargs):
+            calls.append("qr")
+            return qr(*args, **kwargs)
 
         def recorded_lstsq(*args, **kwargs):
-            modes.append("lstsq")
+            calls.append("lstsq")
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recorded_qr)
         monkeypatch.setattr(np.linalg, "lstsq", recorded_lstsq)
-        for label, a, b in systems:
-            modes.clear()
+        for label, a, b in least_squares_cases():
+            calls.clear()
             solve_least_squares(a, b)
-            assert modes == ["r"], label
+            assert calls == ["lstsq"], label
         for points in point_sets:
-            modes.clear()
+            calls.clear()
             assert not fit_operator(points)[1]
-            assert modes == ["r"], points.shape
+            assert calls == ["lstsq"], points.shape
 
-    def test_rank_deficient_tall_systems_skip_the_solve(self, monkeypatch):
-        # R's diagonal alone refuses them (kappa_F >= max|r_ii| / min|r_ii|), before
-        # the k x (k + 1) solve; an exactly zero diagonal, too, without a LinAlgError.
-        solve, calls = np.linalg.solve, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        systems = [(a, b) for label, a, b, _ in least_squares_cases() if "of rank 5" in label]
+    def test_rank_deficient_tall_systems_are_flagged(self):
+        # gelsd's minimum-norm answer, bit for bit, for the single solve and for B = I;
+        # an exactly zero column or matrix too, without a LinAlgError.
+        systems = [(a, b) for label, a, b in least_squares_cases() if "of rank 5" in label]
         systems.append((np.column_stack([np.ones(4), np.zeros(4)]), np.ones(4)))
         systems.append((np.zeros((3, 2)), np.ones(3)))
         assert [a.shape for a, _ in systems[:2]] == [(7, 6), (12, 7)]
@@ -582,9 +529,6 @@ class TestLeastSquares:
             assert fit.rank_deficient
             assert fit.solution.tobytes() == reference_least_squares(a, b)[0].tobytes()
             assert _least_squares(a, np.eye(len(a)))[1]  # the operator for B = I too
-        assert calls == []
-        solve_least_squares(np.eye(3), np.ones(3))
-        assert len(calls) == 1
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
@@ -694,6 +638,34 @@ class TestLpFeasible:
                 added = witness[nonzero] * np.linalg.norm(a, axis=0)[nonzero]
                 assert np.all(added > scaled_tol(1e-9, b))
 
+    def test_ill_conditioned_columns_against_highs(self, monkeypatch):
+        # Gaussian columns scaled by 10^U(-3, 3) plus a sum row; b is a sparse convex
+        # combination moved by 10^U(-8, 0) on one row, so some systems are infeasible by a
+        # hair. Every None comes with its Farkas certificate, checked here again, and every
+        # witness reproduces b; no witness is given where HiGHS finds no solution. Where the
+        # certificate fails on roundoff the search gives up with RuntimeError ("undecided").
+        for seed in range(100, 130):
+            rng = np.random.default_rng(seed)
+            for trial in range(6):
+                m, n = int(rng.integers(2, 10)), int(rng.integers(10, 40))
+                a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+                a = np.vstack([a, np.ones(n)])
+                x0 = rng.random(n) * (rng.random(n) < 0.3)
+                b = a @ (x0 / max(x0.sum(), 1e-9))
+                b[-1] = 1.0
+                row = int(rng.integers(m))
+                b[row] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 0.0)
+                try:
+                    witness, certificate = lp_verdict(monkeypatch, a, b)
+                except RuntimeError:
+                    continue
+                if witness is None:
+                    assert_farkas(a, b, certificate)
+                else:
+                    assert highs_lp_feasible(a, b), f"seed {seed} trial {trial}"
+                    assert np.min(witness) >= 0.0
+                    assert np.max(np.abs(a @ witness - b)) <= scaled_tol(1e-9, b)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lp_feasible([[1.0, 2.0]], [1.0, 2.0])
@@ -706,8 +678,17 @@ class TestLpFeasible:
         x = lp_feasible([[10.0, 1.0], [1.0, 10.0]], [5e-3, 5e-3], 1e-3)
         assert x is not None
         assert np.max(np.abs(x - 5e-3 / 11.0)) <= 1e-18
-        # A zero column's floor, 10 / float min, overflows: inf, without a warning.
+        # A zero column, whose norm is taken as 1/2, never enters.
         assert np.array_equal(lp_feasible([[0.0, 1.0]], [1e10]), [0.0, 1e10])
+
+    def test_columns_whose_squares_overflow(self):
+        # Each column is scaled by the power of 2 below its peak before its norm is taken,
+        # so 1e200^2 is never formed; the witness is scaled back, here exactly.
+        assert lp_feasible([[1e200, 1.0]], [1e200]).tolist() == [1.0, 0.0]
+        assert lp_feasible([[1e200, 1.0]], [-1e200]) is None
+        # A witness past the float range is no answer, and no certificate either.
+        with pytest.raises(RuntimeError, match="without a certificate of infeasibility"):
+            lp_feasible([[1e-310]], [1.0])
 
     def test_roundoff_stall_without_a_certificate_gives_up(self, monkeypatch):
         # An entering coefficient at or below its floor (> 0 in exact arithmetic) stops
